@@ -11,7 +11,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .dataset import Dataset, kfold_indices, split_train_test
-from .model import ModelConfig, fit, predict
+from .model import ModelConfig, ball_centers, fit, predict
 from .seeding import derive_seed
 
 REPORT_SCHEMA_VERSION = 1
@@ -152,50 +152,56 @@ def grid_search_cv(
     """Picking d1 = d2 = d, h, activation by mean k-fold CV accuracy.
 
     Every combination gets an independent derived seed, so results do not
-    depend on evaluation order. Folds whose CV-training part is single-class
-    are skipped and counted in the combination's record. Ties in mean
-    accuracy break toward smaller d, then smaller h, then lower activation
-    index. Returns (best config, table of per-combination records).
+    depend on evaluation order. Granulation does not depend on the seed, so
+    with ``template.granulate`` each fold's CV-training part is granulated
+    once and every combination is fit on its ball centres. Folds whose
+    CV-training part is single-class are skipped and counted in every
+    combination's record. Ties in mean accuracy break toward smaller d, then
+    smaller h, then lower activation index. Returns (best config, table of
+    per-combination records).
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    combos = grid_combinations(grid)
-    fold_sets = kfold_indices(train.n, folds, seed)
-    all_idx = np.arange(train.n)
-    table = []
-    for idx, (d, h, act) in enumerate(combos):
-        cfg = replace(
+    cfgs = [
+        replace(
             template,
+            granulate=False,
             d1=d,
             d2=d,
             h=h,
             activation=act,
             seed=derive_seed(seed, idx),
         )
-        accs = []
-        skipped = 0
-        for fold in fold_sets:
-            mask = np.ones(train.n, dtype=bool)
-            mask[fold] = False
-            cv_train = train.take(all_idx[mask])
-            if not (np.any(cv_train.labels > 0) and np.any(cv_train.labels < 0)):
-                skipped += 1
-                continue
-            cv_val = train.take(fold)
+        for idx, (d, h, act) in enumerate(grid_combinations(grid))
+    ]
+    accs = [[] for _ in cfgs]
+    skipped = 0
+    all_idx = np.arange(train.n)
+    for fold in kfold_indices(train.n, folds, seed):
+        mask = np.ones(train.n, dtype=bool)
+        mask[fold] = False
+        cv_train = train.take(all_idx[mask])
+        if not (np.any(cv_train.labels > 0) and np.any(cv_train.labels < 0)):
+            skipped += 1
+            continue
+        if template.granulate:
+            cv_train = ball_centers(cv_train, template.eta, template.seed)
+        cv_val = train.take(fold)
+        for cfg, fold_accs in zip(cfgs, accs):
             mdl = fit(cfg, cv_train)
-            accs.append(compute_metrics(cv_val.labels, predict(mdl, cv_val.features)).acc)
-        mean_acc = float(np.mean(accs)) if accs else float("nan")
-        table.append(
-            {
-                "d": d,
-                "h": h,
-                "activation": act,
-                "mean_acc": mean_acc,
-                "fold_accs": accs,
-                "skipped_folds": skipped,
-                "seed": cfg.seed,
-            }
-        )
+            fold_accs.append(compute_metrics(cv_val.labels, predict(mdl, cv_val.features)).acc)
+    table = [
+        {
+            "d": cfg.d1,
+            "h": cfg.h,
+            "activation": cfg.activation,
+            "mean_acc": float(np.mean(fold_accs)) if fold_accs else float("nan"),
+            "fold_accs": fold_accs,
+            "skipped_folds": skipped,
+            "seed": cfg.seed,
+        }
+        for cfg, fold_accs in zip(cfgs, accs)
+    ]
     scored = [r for r in table if not np.isnan(r["mean_acc"])]
     if not scored:
         raise ValueError("every grid combination was skipped; dataset too degenerate")

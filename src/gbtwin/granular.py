@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from . import _kernels
 from .dataset import Dataset
 
 LLOYD_MAX_ITER = 100
@@ -84,14 +83,26 @@ def two_means(points, seed: int = 0, labels=None):
     else:
         dist = pdist(pts)
         i, j = _condensed_argmax(dist, n)
-        c0 = pts[i].copy()
-        c1 = pts[j].copy()
+        c0, c1 = pts[i], pts[j]
 
-    assign, _, emptied = _kernels.lloyd_two_means(pts, c0, c1, LLOYD_MAX_ITER)
-    if emptied:
-        cut = (n + 1) // 2
-        return np.arange(cut), np.arange(cut, n)
-    return np.flatnonzero(assign == 0), np.flatnonzero(assign == 1)
+    # With k = 2, x is nearer c1 than c0 exactly when
+    # x . (c1 - c0) > (|c1|^2 - |c0|^2) / 2, so one matvec assigns every
+    # point; ties go to cluster 0. Centroids come from one masked sum.
+    total = pts.sum(axis=0)
+    assign = None
+    for _ in range(LLOYD_MAX_ITER):
+        new = pts @ (c1 - c0) > 0.5 * (c1 @ c1 - c0 @ c0)
+        n1 = int(np.count_nonzero(new))
+        if n1 == 0 or n1 == n:
+            cut = (n + 1) // 2
+            return np.arange(cut), np.arange(cut, n)
+        if assign is not None and np.array_equal(new, assign):
+            break
+        assign = new
+        s1 = pts[assign].sum(axis=0)
+        c0 = (total - s1) / (n - n1)
+        c1 = s1 / n1
+    return np.flatnonzero(~assign), np.flatnonzero(assign)
 
 
 def _condensed_argmax(dist, n):

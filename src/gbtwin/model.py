@@ -102,6 +102,21 @@ def _map_rows(space: str, layer: ft.RandomLayer | None, X: np.ndarray) -> np.nda
     return ft.enhanced_features(layer, X).values
 
 
+def ball_centers(train: Dataset, eta: float, seed: int) -> Dataset:
+    """The rows the duals see when granulating: one centre per ball.
+
+    Each centre carries its ball's majority label. Granulation does not
+    depend on ``seed``, so one call serves every configuration that shares
+    ``train`` and ``eta``.
+    """
+    rows, labels = centers_matrix(generate_granular_balls(train, eta, seed))
+    if not (np.any(labels > 0) and np.any(labels < 0)):
+        raise DataError(
+            "single class among granular-ball labels; both classes are required"
+        )
+    return Dataset(rows, labels)
+
+
 def fit(
     cfg: ModelConfig,
     train: Dataset,
@@ -118,18 +133,11 @@ def fit(
     """
     balls = None
     if cfg.granulate:
-        gbs = generate_granular_balls(train, cfg.eta, cfg.seed)
-        rows, labels = centers_matrix(gbs)
-        balls = gbs.k
-    else:
-        rows, labels = train.features, train.labels
-
+        train = ball_centers(train, cfg.eta, cfg.seed)
+        balls = train.n
+    rows, labels = train.features, train.labels
     if not (np.any(labels > 0) and np.any(labels < 0)):
-        raise DataError(
-            "single class "
-            + ("among granular-ball labels" if cfg.granulate else "in training data")
-            + "; both classes are required"
-        )
+        raise DataError("single class in training data; both classes are required")
 
     layer = None
     if cfg.feature_space != "original":
@@ -198,12 +206,18 @@ def _apply_normalization(mdl, X):
     return (X - lo) / span
 
 
-def _mapped_input(mdl, X) -> np.ndarray:
+def _checked_input(mdl, X) -> np.ndarray:
+    """Raw rows for any model kind: width and finiteness checked, normalized."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != mdl.m:
         raise DataError(f"expected {mdl.m} features, got {X.shape[1]}")
-    X = _apply_normalization(mdl, X)
-    return _map_rows(mdl.config.feature_space, mdl.layer, X)
+    if not np.all(np.isfinite(X)):
+        raise DataError("input rows contain non-finite values")
+    return _apply_normalization(mdl, X)
+
+
+def _mapped_input(mdl, X) -> np.ndarray:
+    return _map_rows(mdl.config.feature_space, mdl.layer, _checked_input(mdl, X))
 
 
 def decision_values(mdl: TwinModel, x) -> tuple[float, float]:
@@ -280,10 +294,7 @@ def fit_rvfl_baseline(
 
 
 def _predict_rvfl(mdl: RVFLModel, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != mdl.m:
-        raise DataError(f"expected {mdl.m} features, got {X.shape[1]}")
-    X = _apply_normalization(mdl, X)
+    X = _checked_input(mdl, X)
     if mdl.direct_links:
         phi = ft.enhanced_features(mdl.layer, X).values
     else:

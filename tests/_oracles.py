@@ -129,6 +129,29 @@ def min_sse_bipartition(X):
     return best, best_sse
 
 
+def lloyd_two_means_reference(X, c0, c1, max_iter=100):
+    """Two-cluster Lloyd iteration by explicit squared distances.
+
+    Each point goes to the nearer centroid (ties to cluster 0) and each
+    centroid becomes the mean of its points, until the assignment repeats or
+    a cluster empties. Returns (assignment as a 0/1 array, emptied flag).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    centroids = [np.asarray(c0, dtype=np.float64), np.asarray(c1, dtype=np.float64)]
+    assign = None
+    for _ in range(max_iter):
+        d0 = ((X - centroids[0]) ** 2).sum(axis=1)
+        d1 = ((X - centroids[1]) ** 2).sum(axis=1)
+        new = (d1 < d0).astype(np.int64)
+        if new.min() == new.max():
+            return new, True
+        if assign is not None and np.array_equal(new, assign):
+            break
+        assign = new
+        centroids = [X[assign == 0].mean(axis=0), X[assign == 1].mean(axis=0)]
+    return assign, False
+
+
 def linearly_separable(X, y):
     """LP feasibility of y_i (w . x_i + b) >= 1 over free (w, b)."""
     X = np.asarray(X, dtype=np.float64)

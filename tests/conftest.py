@@ -14,5 +14,3 @@ def warm_kernels():
     """Trigger numba compilation before any timed test runs."""
     Q = np.eye(2)
     _kernels.box_qp_sweeps(Q, 1.0, 1e-8, 10)
-    X = np.array([[0.0, 0.0], [1.0, 1.0], [0.1, 0.0], [0.9, 1.0]])
-    _kernels.lloyd_two_means(X, X[0], X[1], 10)

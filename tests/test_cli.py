@@ -53,6 +53,17 @@ class TestTrainPredict:
                    "--out", tmp_path / "y.csv") == 2
         assert "expected 3 features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["tsvm", "ef-gbtsvm", "rvfl"])
+    def test_predict_non_finite_is_data_error(self, tmp_path, blob_csv, capsys, variant):
+        model = tmp_path / "model.json"
+        assert run("train", "--variant", variant, "--data", blob_csv,
+                   "--seed", 1, "--out", model) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.1,0.2,0.3\n0.4,nan,0.6\n")
+        assert run("predict", "--model", model, "--data", bad,
+                   "--out", tmp_path / "y.csv") == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_train_single_class_is_data_error(self, tmp_path):
         path = tmp_path / "single.csv"
         path.write_text("1,2,1\n3,4,1\n5,6,1\n")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbtwin.dataset import Dataset
+import gbtwin.model
+from gbtwin.dataset import Dataset, kfold_indices
 from gbtwin.evaluation import (
     ACTIVATION_GRID,
     D_GRID,
@@ -21,7 +22,8 @@ from gbtwin.evaluation import (
     rank_models,
     read_report,
 )
-from gbtwin.model import ModelConfig
+from gbtwin.model import ModelConfig, fit, predict
+from gbtwin.seeding import derive_seed
 
 from _oracles import average_ranks_reference
 from _reference_tables import (
@@ -209,6 +211,44 @@ class TestGridSearch:
         _, table = grid_search_cv(d, template, folds=5, grid=grid, seed=11)
         assert table[0]["skipped_folds"] == 1
         assert len(table[0]["fold_accs"]) == 4
+
+    def test_granulates_once_per_fold(self, monkeypatch):
+        calls = []
+        granulate = gbtwin.model.generate_granular_balls
+
+        def counting(d, eta, seed):
+            calls.append(d.fingerprint())
+            return granulate(d, eta, seed)
+
+        monkeypatch.setattr(gbtwin.model, "generate_granular_balls", counting)
+        d = make_blobs(90, seed=5, spread=1.2, distance=2.0)
+        template = ModelConfig(granulate=True, feature_space="enhanced",
+                               seed=0, eta=0.95)
+        grid = {"d": [0.1, 10.0], "h": [3, 8], "activation": [2, 3]}
+        folds = 3
+        _, table = grid_search_cv(d, template, folds=folds, grid=grid, seed=6)
+        assert len(calls) == folds and len(set(calls)) == folds
+
+        # every (combination, fold) fit from scratch, each granulating anew
+        expected = []
+        fold_sets = kfold_indices(d.n, folds, 6)
+        for idx, (dd, h, act) in enumerate(grid_combinations(grid)):
+            cfg = ModelConfig(granulate=True, feature_space="enhanced",
+                              seed=derive_seed(6, idx), eta=0.95,
+                              d1=dd, d2=dd, h=h, activation=act)
+            accs = []
+            for fold in fold_sets:
+                cv_train = d.take(np.setdiff1d(np.arange(d.n), fold))
+                cv_val = d.take(fold)
+                mdl = fit(cfg, cv_train)
+                accs.append(compute_metrics(cv_val.labels,
+                                            predict(mdl, cv_val.features)).acc)
+            expected.append({"d": dd, "h": h, "activation": act,
+                             "mean_acc": float(np.mean(accs)), "fold_accs": accs,
+                             "skipped_folds": 0, "seed": cfg.seed})
+        assert len(calls) == folds + len(expected) * folds
+        assert table == expected
+        assert len({r["mean_acc"] for r in table}) > 1
 
     def test_grid_must_be_nonempty(self):
         d = make_blobs(40, seed=4)

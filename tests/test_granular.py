@@ -13,7 +13,7 @@ from gbtwin.granular import (
     two_means,
 )
 
-from _oracles import min_sse_bipartition
+from _oracles import lloyd_two_means_reference, min_sse_bipartition
 
 
 def random_dataset(seed, n=None, m=None):
@@ -73,6 +73,40 @@ class TestTwoMeans:
         labs = np.array([1.0, 1.0, -1.0, -1.0])
         a, b = two_means(X, labels=labs)
         assert sorted(a.tolist()) == [0, 1] and sorted(b.tolist()) == [2, 3]
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_matches_squared_distance_lloyd(self, labeled):
+        rng = np.random.default_rng(12 if labeled else 13)
+        for _ in range(40):
+            n = int(rng.integers(4, 200))
+            m = int(rng.integers(1, 8))
+            X = rng.normal(size=(n, m))
+            if labeled:
+                labs = rng.choice([-1.0, 1.0], size=n)
+                labs[:2] = [1.0, -1.0]
+                c0, c1 = X[labs > 0].mean(axis=0), X[labs < 0].mean(axis=0)
+            else:
+                labs = None
+                dist = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+                i, j = np.unravel_index(np.argmax(np.triu(dist)), dist.shape)
+                c0, c1 = X[i], X[j]
+            assign, emptied = lloyd_two_means_reference(X, c0, c1)
+            assert not emptied
+            a, b = two_means(X, labels=labs)
+            assert np.array_equal(a, np.flatnonzero(assign == 0))
+            assert np.array_equal(b, np.flatnonzero(assign == 1))
+
+    def test_empty_cluster_falls_back_to_halves(self):
+        # distinct points whose class means coincide: every point ties, the
+        # first assignment empties cluster 1
+        X = np.array([[-1.0], [1.0], [-2.0], [2.0], [0.0]])
+        labs = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+        c0, c1 = X[labs > 0].mean(axis=0), X[labs < 0].mean(axis=0)
+        assert np.array_equal(c0, c1)
+        _, emptied = lloyd_two_means_reference(X, c0, c1)
+        assert emptied
+        a, b = two_means(X, labels=labs)
+        assert a.tolist() == [0, 1, 2] and b.tolist() == [3, 4]
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):

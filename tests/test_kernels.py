@@ -33,27 +33,6 @@ class TestBoxQpPathEquivalence:
         assert np.all(nb[0] == 2.0)
 
 
-class TestLloydPathEquivalence:
-    def test_same_assignments(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            n = int(rng.integers(4, 80))
-            m = int(rng.integers(1, 5))
-            X = np.ascontiguousarray(rng.normal(size=(n, m)))
-            c0, c1 = X[0].copy(), X[1].copy()
-            nb = _kernels._lloyd_two_means_nb(X, c0, c1, 100)
-            py = _kernels._lloyd_two_means_py(X, c0, c1, 100)
-            assert np.array_equal(nb[0], py[0])
-            assert nb[1] == py[1] and nb[2] == py[2]
-
-    def test_empty_cluster_flag_parity(self):
-        X = np.ascontiguousarray(np.ones((4, 2)))
-        c = np.ones(2)
-        nb = _kernels._lloyd_two_means_nb(X, c, c.copy(), 100)
-        py = _kernels._lloyd_two_means_py(X, c, c.copy(), 100)
-        assert nb[2] and py[2]
-
-
 class TestEnvFlag:
     def test_disable_flag_selects_numpy_path(self):
         code = "from gbtwin import _kernels; print(_kernels.USE_NUMBA)"

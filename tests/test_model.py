@@ -181,6 +181,19 @@ class TestPredict:
         assert acc == 1.0
 
 
+    @pytest.mark.parametrize("space", ["original", "hidden", "enhanced"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, space, bad):
+        d = make_blobs(40, seed=13)
+        mdl = fit(plain_config(feature_space=space, h=5), d)
+        X = d.features[:3].copy()
+        X[1, 0] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            predict(mdl, X)
+        with pytest.raises(DataError, match="non-finite"):
+            decision_values(mdl, X[1])
+
+
 class TestRvflBaseline:
     def test_heavy_ridge_shrinks_weights(self):
         d = make_blobs(50, seed=9, spread=0.3, distance=2.0)
@@ -206,6 +219,17 @@ class TestRvflBaseline:
         single = Dataset(np.ones((3, 2)), np.ones(3))
         with pytest.raises(DataError):
             fit_rvfl_baseline(5, 2, ridge=1.0, seed=0, train=single)
+
+    @pytest.mark.parametrize("direct_links", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, direct_links, bad):
+        d = make_blobs(40, seed=14)
+        mdl = fit_rvfl_baseline(5, 3, ridge=1e-3, seed=0, train=d,
+                                direct_links=direct_links)
+        X = d.features[:3].copy()
+        X[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            predict(mdl, X)
 
 
 class TestSerialization:
