@@ -13,7 +13,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -437,17 +437,7 @@ def cmd_scale_bench(opts: dict) -> int:
     if cfg.granulate:
         raw_name = [k for k, v in TWIN_VARIANTS.items()
                     if v == (False, cfg.feature_space)][0]
-        raw_cfg = md.ModelConfig(
-            granulate=False,
-            feature_space=cfg.feature_space,
-            seed=cfg.seed,
-            d1=cfg.d1,
-            d2=cfg.d2,
-            delta=cfg.delta,
-            eta=cfg.eta,
-            h=cfg.h,
-            activation=cfg.activation,
-        )
+        raw_cfg = replace(cfg, granulate=False)
         tables[raw_name] = ev.benchmark_fit(raw_cfg, datasets, repeats=opts["repeats"])
     report = {
         "command": "scale-bench",

@@ -8,7 +8,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import Dataset, kfold_indices, split_train_test
 from .model import ModelConfig, ball_centers, fit, predict
@@ -97,6 +96,9 @@ class FriedmanResult:
 
 def rank_models(scores) -> RankTable:
     """Rank models per dataset: highest score gets rank 1, ties averaged."""
+    # scipy.stats takes most of a second to import; only ranking needs it
+    from scipy.stats import rankdata
+
     S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     if S.shape[0] < 1 or S.shape[1] < 2:
         raise ValueError("need at least 1 dataset row and 2 model columns")

@@ -107,6 +107,53 @@ def dense_grid_box_qp(Q, upper, step):
     return best_alpha, best_val
 
 
+def cyclic_box_qp_reference(Q, upper, tol, max_sweeps):
+    """Unshrunk cyclic clipped coordinate ascent on the box-constrained dual.
+
+    Every sweep visits every coordinate in index order and maximizes it
+    exactly, clamped to [0, upper]; stops when the projected-gradient residual
+    of a freshly computed gradient is at most ``tol``. Returns
+    (alpha, sweeps, residual).
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    p = Q.shape[0]
+    alpha = np.zeros(p)
+    grad = np.ones(p)  # gradient of the objective: 1 - Q @ alpha
+    sweeps = 0
+    residual = np.inf
+    while sweeps < max_sweeps:
+        sweeps += 1
+        for i in range(p):
+            qii = Q[i, i]
+            lin = grad[i] + qii * alpha[i]  # 1 - sum_{j != i} Q_ij alpha_j
+            if qii > 0.0:
+                new = lin / qii
+                if new < 0.0:
+                    new = 0.0
+                elif new > upper:
+                    new = upper
+            else:
+                new = upper if lin > 0.0 else 0.0
+            step = new - alpha[i]
+            if step != 0.0:
+                grad -= step * Q[i]
+                alpha[i] = new
+        residual = _projected_residual(grad, alpha, upper)
+        if residual <= tol:
+            grad = 1.0 - Q @ alpha
+            residual = _projected_residual(grad, alpha, upper)
+            if residual <= tol:
+                break
+    return alpha, sweeps, residual
+
+
+def _projected_residual(grad, alpha, upper):
+    viol = np.abs(grad)
+    viol[alpha <= 0.0] = np.maximum(grad[alpha <= 0.0], 0.0)
+    viol[alpha >= upper] = np.maximum(-grad[alpha >= upper], 0.0)
+    return float(viol.max())
+
+
 def min_sse_bipartition(X):
     """Exhaustive minimum within-cluster SSE over all 2-partitions.
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gbtwin
 from gbtwin.cli import main
 from gbtwin.dataset import generate_ndc, write_csv
 from gbtwin.evaluation import read_report
@@ -18,6 +23,19 @@ def blob_csv(tmp_path):
     path = tmp_path / "blobs.csv"
     write_csv(generate_ndc(120, 3, 2, 5.0, seed=21), path)
     return path
+
+
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs most of a second to import; only rank_models needs it
+        src = str(Path(gbtwin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, gbtwin, gbtwin.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestTrainPredict:

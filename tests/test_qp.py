@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gbtwin.qp import (
+    _TILE,
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_TOL,
     BoxQP,
     NumericalError,
     box_qp_objective,
@@ -11,7 +16,13 @@ from gbtwin.qp import (
     solve_spd,
 )
 
-from _oracles import dense_grid_box_qp, enumerate_box_qp, grid_box_qp
+from _oracles import (
+    box_qp_value,
+    cyclic_box_qp_reference,
+    dense_grid_box_qp,
+    enumerate_box_qp,
+    grid_box_qp,
+)
 
 # frozen result of dense_grid_box_qp(Q=[[2,1],[1,2]], upper=10, step=1e-3),
 # computed once offline (the 1e8-point sweep takes a few seconds)
@@ -168,6 +179,84 @@ class TestBoxQP:
         assert not sol.converged
         assert sol.iterations == 1
         assert sol.kkt_residual > 0
+
+
+class TestShrinkingAgainstReference:
+    """The shrunk sweeps against the unshrunk cyclic loop in ``_oracles``."""
+
+    @pytest.mark.parametrize("upper", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("r", [3, 10])
+    @pytest.mark.parametrize("p", [50, 400])
+    def test_rank_deficient_bound_heavy(self, p, r, upper):
+        # rows shifted to a common side, as in a twin dual: most alphas end at 0
+        rng = np.random.default_rng(1000 * p + r)
+        A = rng.normal(loc=1.0, size=(p, r))
+        q = BoxQP(A @ A.T, upper)
+        sol = solve_box_qp(q)
+        ref_alpha, _, ref_residual = cyclic_box_qp_reference(
+            q.Q, upper, DEFAULT_TOL, DEFAULT_MAX_SWEEPS
+        )
+        assert sol.converged and ref_residual <= DEFAULT_TOL
+        assert kkt_residual(q, sol.alpha) <= DEFAULT_TOL
+        assert kkt_residual(q, ref_alpha) <= DEFAULT_TOL
+        assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= upper)
+        ref_value = box_qp_value(q.Q, upper, ref_alpha)
+        assert abs(sol.objective_value - ref_value) <= 1e-9 * max(1.0, abs(ref_value))
+
+    def test_full_rank_alphas_agree(self):
+        # the optimum is unique; a tol-KKT point lies within sqrt(p) tol / lambda_min
+        rng = np.random.default_rng(7)
+        for i in range(20):
+            p = int(rng.integers(1, 7))
+            Q = random_psd(rng, p)
+            upper = (0.1, 1.0, 10.0)[i % 3]
+            sol = solve_box_qp(BoxQP(Q, upper))
+            ref_alpha, _, _ = cyclic_box_qp_reference(Q, upper, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+            bound = 2.0 * np.sqrt(p) * DEFAULT_TOL / np.linalg.eigvalsh(Q).min()
+            assert np.abs(sol.alpha - ref_alpha).max() <= bound
+
+
+class TestBlockedValidation:
+    """BoxQP checks and symmetrizes Q tile by tile; p is no multiple of a tile."""
+
+    P = 2 * _TILE + 37
+
+    def symmetric(self, seed):
+        A = np.random.default_rng(seed).normal(size=(self.P, 5))
+        return A @ A.T
+
+    @pytest.mark.parametrize("where", [(-1, -1), (-1, 3), (3, -1), (-2, -30)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_last_partial_tile_rejected(self, where, value):
+        Q = self.symmetric(0)
+        Q[where] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            BoxQP(Q, 1.0)
+
+    @pytest.mark.parametrize("where", [(-1, 3), (3, -1), (-2, -30)])
+    def test_asymmetric_pair_in_last_partial_tile_rejected(self, where):
+        Q = self.symmetric(1)
+        Q[where] += 1e-3
+        with pytest.raises(NumericalError, match="symmetric"):
+            BoxQP(Q, 1.0)
+
+    def test_stored_q_is_the_symmetrized_input(self):
+        Q = self.symmetric(2)
+        Q += 1e-12 * np.random.default_rng(3).normal(size=Q.shape)  # within tolerance
+        stored = BoxQP(Q, 1.0).Q
+        assert np.array_equal(stored, (Q + Q.T) / 2.0)
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+
+    def test_peak_memory_stays_near_one_copy(self):
+        A = np.random.default_rng(4).normal(size=(1300, 5))
+        Q = A @ A.T
+        tracemalloc.start()
+        try:
+            BoxQP(Q, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * Q.nbytes
 
 
 class TestKktResidual:
