@@ -278,13 +278,20 @@ def _fit_variant(variant: str, opts: dict, train, seed: int, normalization=None)
     )
 
 
-def _load_dataset(opts: dict):
+def _load_dataset(path, opts: dict):
     return load_csv(
-        opts["data"],
+        path,
         has_header=opts["has-header"],
         label_column=opts["label-column"],
         positive_label_token=opts["positive-label"],
     )
+
+
+def _normalized_split(data, opts: dict, seed: int):
+    """Seeded train/test split, both min-max scaled by the train ranges."""
+    pair = split_train_test(data, opts["ratio"], seed)
+    ranges = minmax_ranges(pair.train)
+    return normalize_minmax(pair.train), normalize_minmax(pair.test, ranges)
 
 
 def _report_path(opts: dict) -> str:
@@ -297,7 +304,7 @@ def _report_path(opts: dict) -> str:
 
 
 def cmd_train(opts: dict) -> int:
-    data = _load_dataset(opts)
+    data = _load_dataset(opts["data"], opts)
     ranges = minmax_ranges(data)
     train = normalize_minmax(data)
     start = time.perf_counter()
@@ -344,10 +351,8 @@ def cmd_gridsearch(opts: dict) -> int:
     variant = opts["variant"]
     if variant not in TWIN_VARIANTS:
         raise UsageError("gridsearch supports the twin variants only")
-    data = _load_dataset(opts)
-    pair = split_train_test(data, opts["ratio"], opts["seed"])
-    ranges = minmax_ranges(pair.train)
-    train = normalize_minmax(pair.train)
+    data = _load_dataset(opts["data"], opts)
+    train, test = _normalized_split(data, opts, opts["seed"])
 
     template = md.ModelConfig(
         granulate=TWIN_VARIANTS[variant][0],
@@ -369,8 +374,8 @@ def cmd_gridsearch(opts: dict) -> int:
     best_cfg, table = ev.grid_search_cv(
         train, template, folds=opts["folds"], grid=grid, seed=opts["seed"]
     )
-    final = md.fit(best_cfg, train, normalization=ranges)
-    metrics = ev.compute_metrics(pair.test.labels, md.predict(final, pair.test.features))
+    final = md.fit(best_cfg, train)
+    metrics = ev.compute_metrics(test.labels, md.predict(final, test.features))
     report = {
         "command": "gridsearch",
         "run_config": _run_config("gridsearch", opts),
@@ -395,11 +400,8 @@ def cmd_gridsearch(opts: dict) -> int:
 
 
 def cmd_noise_sweep(opts: dict) -> int:
-    data = _load_dataset(opts)
-    pair = split_train_test(data, opts["ratio"], opts["seed"])
-    ranges = minmax_ranges(pair.train)
-    train = normalize_minmax(pair.train)
-    test = normalize_minmax(pair.test, ranges)
+    data = _load_dataset(opts["data"], opts)
+    train, test = _normalized_split(data, opts, opts["seed"])
     rows = []
     for i, rate in enumerate(NOISE_RATES):
         noisy = inject_label_noise(train, rate, derive_seed(opts["seed"], i))
@@ -472,16 +474,8 @@ def cmd_compare(opts: dict) -> int:
         raise DataError(f"no CSV files in {opts['data-dir']}")
     matrix = []
     for di, path in enumerate(paths):
-        data = load_csv(
-            path,
-            has_header=opts["has-header"],
-            label_column=opts["label-column"],
-            positive_label_token=opts["positive-label"],
-        )
-        pair = split_train_test(data, opts["ratio"], derive_seed(opts["seed"], di))
-        ranges = minmax_ranges(pair.train)
-        train = normalize_minmax(pair.train)
-        test = normalize_minmax(pair.test, ranges)
+        data = _load_dataset(path, opts)
+        train, test = _normalized_split(data, opts, derive_seed(opts["seed"], di))
         row = []
         for v in variants:
             mdl = _fit_variant(v, opts, train, derive_seed(opts["seed"], di))
@@ -512,11 +506,8 @@ def cmd_compare(opts: dict) -> int:
 
 
 def cmd_ablate(opts: dict) -> int:
-    data = _load_dataset(opts)
-    pair = split_train_test(data, opts["ratio"], opts["seed"])
-    ranges = minmax_ranges(pair.train)
-    train = normalize_minmax(pair.train)
-    test = normalize_minmax(pair.test, ranges)
+    data = _load_dataset(opts["data"], opts)
+    train, test = _normalized_split(data, opts, opts["seed"])
     rows = []
     for variant in ABLATION_VARIANTS:
         mdl = _fit_variant(variant, opts, train, opts["seed"])

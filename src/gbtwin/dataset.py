@@ -84,18 +84,11 @@ class SplitPair:
     seed: int
 
 
-def load_csv(
-    path,
-    has_header: bool = False,
-    label_column="last",
-    positive_label_token: str = "1",
-) -> Dataset:
-    """Read a comma-separated file into a Dataset.
+def _read_rows(path, has_header: bool) -> tuple[list[list[str]], list[int]]:
+    """Stripped cells of every non-blank row and the row's 1-based line.
 
-    The label column (default: last) must hold at most two distinct tokens;
-    ``positive_label_token`` maps to +1, the other token to -1. All remaining
-    cells must parse as numbers. Row numbers in errors are 1-based physical
-    lines.
+    Skips the first line when ``has_header``. Rejects a file with no data row
+    and a row whose width differs from the first data row's.
     """
     rows = []
     line_numbers = []
@@ -115,6 +108,24 @@ def load_csv(
     for row, lineno in zip(rows, line_numbers):
         if len(row) != width:
             raise DataError(f"malformed row {lineno}: expected {width} columns")
+    return rows, line_numbers
+
+
+def load_csv(
+    path,
+    has_header: bool = False,
+    label_column="last",
+    positive_label_token: str = "1",
+) -> Dataset:
+    """Read a comma-separated file into a Dataset.
+
+    The label column (default: last) must hold at most two distinct tokens;
+    ``positive_label_token`` maps to +1, the other token to -1. All remaining
+    cells must parse as numbers. Row numbers in errors are 1-based physical
+    lines.
+    """
+    rows, line_numbers = _read_rows(path, has_header)
+    width = len(rows[0])
     if width < 2:
         raise DataError("need at least one feature column and one label column")
 
@@ -149,27 +160,14 @@ def load_csv(
 
 def load_features_csv(path, has_header: bool = False) -> np.ndarray:
     """Read an unlabeled feature matrix (all columns numeric)."""
-    rows = []
-    line_numbers = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and has_header:
-                continue
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise DataError(f"non-numeric cell at row {lineno}") from None
-            line_numbers.append(lineno)
-    if not rows:
-        raise DataError(f"empty file: {path}")
-    width = len(rows[0])
-    for row, lineno in zip(rows, line_numbers):
-        if len(row) != width:
-            raise DataError(f"malformed row {lineno}: expected {width} columns")
-    return np.asarray(rows, dtype=np.float64)
+    rows, line_numbers = _read_rows(path, has_header)
+    feats = np.empty((len(rows), len(rows[0])))
+    for i, (row, lineno) in enumerate(zip(rows, line_numbers)):
+        try:
+            feats[i] = [float(cell) for cell in row]
+        except ValueError:
+            raise DataError(f"non-numeric cell at row {lineno}") from None
+    return feats
 
 
 def write_csv(d: Dataset, path, header: bool = False) -> None:

@@ -154,10 +154,10 @@ def grid_search_cv(
     """Picking d1 = d2 = d, h, activation by mean k-fold CV accuracy.
 
     Every combination gets an independent derived seed, so results do not
-    depend on evaluation order. Granulation does not depend on the seed, so
-    with ``template.granulate`` each fold's CV-training part is granulated
-    once and every combination is fit on its ball centres. Folds whose
-    CV-training part is single-class are skipped and counted in every
+    depend on evaluation order. Granulation is deterministic and takes no
+    seed, so with ``template.granulate`` each fold's CV-training part is
+    granulated once and every combination is fit on its ball centres. Folds
+    whose CV-training part is single-class are skipped and counted in every
     combination's record. Ties in mean accuracy break toward smaller d, then
     smaller h, then lower activation index. Returns (best config, table of
     per-combination records).
@@ -187,7 +187,7 @@ def grid_search_cv(
             skipped += 1
             continue
         if template.granulate:
-            cv_train = ball_centers(cv_train, template.eta, template.seed)
+            cv_train = ball_centers(cv_train, template.eta)
         cv_val = train.take(fold)
         for cfg, fold_accs in zip(cfgs, accs):
             mdl = fit(cfg, cv_train)
@@ -229,7 +229,6 @@ def benchmark_fit(
     datasets,
     ratio: float = 0.7,
     repeats: int = 3,
-    qp_max_iter: int | None = None,
 ):
     """Wall-clock fit timing over datasets of increasing size.
 
@@ -239,14 +238,13 @@ def benchmark_fit(
     balls when granulating, otherwise training samples.
     """
     rows = []
-    kwargs = {} if qp_max_iter is None else {"qp_max_iter": qp_max_iter}
     for d in datasets:
         pair = split_train_test(d, ratio, cfg.seed)
         times = []
         mdl = None
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
-            mdl = fit(cfg, pair.train, **kwargs)
+            mdl = fit(cfg, pair.train)
             times.append(time.perf_counter() - start)
         acc = compute_metrics(pair.test.labels, predict(mdl, pair.test.features)).acc
         k = mdl.diagnostics.balls if cfg.granulate else pair.train.n

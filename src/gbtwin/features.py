@@ -2,7 +2,8 @@
 
 A layer drawn once from a seed maps rows through ``phi(X W + bias)``; the
 enhanced space appends the original columns after the hidden block. The same
-layer instance must map training rows and prediction rows.
+layer instance must map training rows and prediction rows. Neither map ever
+returns a non-finite matrix.
 """
 
 from __future__ import annotations
@@ -91,18 +92,6 @@ class RandomLayer:
         return hsh.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    values: np.ndarray
-    space: str
-
-    def __post_init__(self):
-        if self.space not in SPACES:
-            raise ValueError(f"unknown feature space {self.space!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature matrix contains non-finite entries")
-
-
 def init_random_layer(m: int, h: int, activation: int, seed: int) -> RandomLayer:
     if m < 1 or h < 1:
         raise ValueError(f"need m >= 1 and h >= 1, got m={m}, h={h}")
@@ -114,20 +103,28 @@ def init_random_layer(m: int, h: int, activation: int, seed: int) -> RandomLayer
     return RandomLayer(weights=weights, bias=bias, activation=activation, seed=seed)
 
 
-def hidden_features(layer: RandomLayer, X) -> FeatureMatrix:
+def _check_finite(values: np.ndarray) -> None:
+    # a finite row can still overflow, e.g. relu on rows near the float max
+    if not np.all(np.isfinite(values)):
+        raise ValueError("feature matrix contains non-finite entries")
+
+
+def hidden_features(layer: RandomLayer, X) -> np.ndarray:
     """Map rows to the hidden space: phi(X W + bias)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != layer.m:
         raise ValueError(f"expected {layer.m} feature columns, got {X.shape[1]}")
     Z = activate(layer.activation, X @ layer.weights + layer.bias)
-    return FeatureMatrix(Z, "hidden")
+    _check_finite(Z)
+    return Z
 
 
-def enhanced_features(layer: RandomLayer, X) -> FeatureMatrix:
+def enhanced_features(layer: RandomLayer, X) -> np.ndarray:
     """Concatenate hidden block and original columns: [Z | X]."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Z = hidden_features(layer, X).values
-    return FeatureMatrix(np.hstack([Z, X]), "enhanced")
+    Z = hidden_features(layer, X)
+    _check_finite(X)
+    return np.hstack([Z, X])
 
 
 def layer_meta(layer: RandomLayer) -> dict:

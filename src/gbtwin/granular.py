@@ -9,7 +9,6 @@ and purity.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -37,8 +36,6 @@ class GranularBallSet:
     eta: float
     n: int
     m: int
-    dataset_hash: str
-    seed: int
 
     @property
     def k(self) -> int:
@@ -61,7 +58,7 @@ def majority_label(labels) -> float:
     return 1.0 if pos >= labs.size - pos else -1.0
 
 
-def two_means(points, seed: int = 0, labels=None):
+def two_means(points, labels=None):
     """Split points into two non-empty groups with Lloyd's algorithm, k = 2.
 
     Initialization is deterministic: one centroid per class mean when
@@ -71,7 +68,6 @@ def two_means(points, seed: int = 0, labels=None):
     order instead, so both returned index arrays are always non-empty.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    del seed  # the procedure is fully deterministic; kept for interface stability
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("two_means needs at least 2 points")
     n = pts.shape[0]
@@ -118,7 +114,7 @@ def _condensed_argmax(dist, n):
     return i, i + 1 + flat
 
 
-def generate_granular_balls(d: Dataset, eta: float, seed: int) -> GranularBallSet:
+def generate_granular_balls(d: Dataset, eta: float) -> GranularBallSet:
     """Granulate a dataset until every ball reaches purity ``eta``.
 
     Singletons are final regardless of eta. A ball of identical rows with
@@ -143,7 +139,7 @@ def generate_granular_balls(d: Dataset, eta: float, seed: int) -> GranularBallSe
                     stacklevel=2,
                 )
             else:
-                a, b = two_means(block, seed, members)
+                a, b = two_means(block, members)
                 queue.append(idx[a])
                 queue.append(idx[b])
                 continue
@@ -161,8 +157,6 @@ def generate_granular_balls(d: Dataset, eta: float, seed: int) -> GranularBallSe
         eta=eta,
         n=d.n,
         m=d.m,
-        dataset_hash=d.fingerprint(),
-        seed=seed,
     )
 
 
@@ -174,53 +168,3 @@ def centers_matrix(g: GranularBallSet) -> tuple[np.ndarray, np.ndarray]:
     t = np.array([b.label for b in g.balls])
     return C, t
 
-
-def to_document(g: GranularBallSet) -> dict:
-    return {
-        "eta": g.eta,
-        "n": g.n,
-        "m": g.m,
-        "dataset_hash": g.dataset_hash,
-        "seed": g.seed,
-        "balls": [
-            {
-                "members": [int(i) for i in b.member_indices],
-                "center": [float(v) for v in b.center],
-                "label": b.label,
-                "purity": b.purity,
-                "count": b.count,
-            }
-            for b in g.balls
-        ],
-    }
-
-
-def from_document(doc: dict) -> GranularBallSet:
-    balls = tuple(
-        GranularBall(
-            member_indices=np.asarray(b["members"], dtype=np.int64),
-            center=np.asarray(b["center"], dtype=np.float64),
-            label=float(b["label"]),
-            purity=float(b["purity"]),
-            count=int(b["count"]),
-        )
-        for b in doc["balls"]
-    )
-    return GranularBallSet(
-        balls=balls,
-        eta=float(doc["eta"]),
-        n=int(doc["n"]),
-        m=int(doc["m"]),
-        dataset_hash=doc["dataset_hash"],
-        seed=int(doc["seed"]),
-    )
-
-
-def save_json(g: GranularBallSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_document(g), fh, indent=2)
-
-
-def load_json(path) -> GranularBallSet:
-    with open(path, encoding="utf-8") as fh:
-        return from_document(json.load(fh))

@@ -21,8 +21,6 @@ from .granular import centers_matrix, generate_granular_balls
 
 MODEL_SCHEMA_VERSION = 1
 
-FEATURE_SPACES = ("original", "hidden", "enhanced")
-
 ZERO_NORMAL_TOL = 1e-12
 
 
@@ -43,7 +41,7 @@ class ModelConfig:
     activation: int = 3
 
     def __post_init__(self):
-        if self.feature_space not in FEATURE_SPACES:
+        if self.feature_space not in ft.SPACES:
             raise ValueError(f"unknown feature space {self.feature_space!r}")
         if self.d1 <= 0 or self.d2 <= 0 or self.delta <= 0:
             raise ValueError("d1, d2, and delta must all be positive")
@@ -98,18 +96,18 @@ def _map_rows(space: str, layer: ft.RandomLayer | None, X: np.ndarray) -> np.nda
     if space == "original":
         return X
     if space == "hidden":
-        return ft.hidden_features(layer, X).values
-    return ft.enhanced_features(layer, X).values
+        return ft.hidden_features(layer, X)
+    return ft.enhanced_features(layer, X)
 
 
-def ball_centers(train: Dataset, eta: float, seed: int) -> Dataset:
+def ball_centers(train: Dataset, eta: float) -> Dataset:
     """The rows the duals see when granulating: one centre per ball.
 
-    Each centre carries its ball's majority label. Granulation does not
-    depend on ``seed``, so one call serves every configuration that shares
-    ``train`` and ``eta``.
+    Each centre carries its ball's majority label. Granulation is
+    deterministic and takes no seed, so one call serves every configuration
+    that shares ``train`` and ``eta``.
     """
-    rows, labels = centers_matrix(generate_granular_balls(train, eta, seed))
+    rows, labels = centers_matrix(generate_granular_balls(train, eta))
     if not (np.any(labels > 0) and np.any(labels < 0)):
         raise DataError(
             "single class among granular-ball labels; both classes are required"
@@ -133,7 +131,7 @@ def fit(
     """
     balls = None
     if cfg.granulate:
-        train = ball_centers(train, cfg.eta, cfg.seed)
+        train = ball_centers(train, cfg.eta)
         balls = train.n
     rows, labels = train.features, train.labels
     if not (np.any(labels > 0) and np.any(labels < 0)):
@@ -257,6 +255,10 @@ class RVFLModel:
     normalization: tuple[np.ndarray, np.ndarray] | None = None
 
 
+def _rvfl_space(direct_links: bool) -> str:
+    return "enhanced" if direct_links else "hidden"
+
+
 def fit_rvfl_baseline(
     h: int,
     activation: int,
@@ -277,10 +279,7 @@ def fit_rvfl_baseline(
     if not (np.any(train.labels > 0) and np.any(train.labels < 0)):
         raise DataError("single class in training data; both classes are required")
     layer = ft.init_random_layer(train.m, h, activation, seed)
-    if direct_links:
-        phi = ft.enhanced_features(layer, train.features).values
-    else:
-        phi = ft.hidden_features(layer, train.features).values
+    phi = _map_rows(_rvfl_space(direct_links), layer, train.features)
     gram = qp.ridge_factorize(phi, ridge)
     weights = qp.solve_spd(gram, phi.T @ train.labels)
     return RVFLModel(
@@ -295,10 +294,7 @@ def fit_rvfl_baseline(
 
 def _predict_rvfl(mdl: RVFLModel, X) -> np.ndarray:
     X = _checked_input(mdl, X)
-    if mdl.direct_links:
-        phi = ft.enhanced_features(mdl.layer, X).values
-    else:
-        phi = ft.hidden_features(mdl.layer, X).values
+    phi = _map_rows(_rvfl_space(mdl.direct_links), mdl.layer, X)
     scores = phi @ mdl.weights
     return np.where(scores >= 0.0, 1.0, -1.0)
 
@@ -333,15 +329,7 @@ def serialize(mdl) -> dict:
         "layer": None if mdl.layer is None else ft.layer_meta(mdl.layer),
         "u1": [float(v) for v in mdl.u1],
         "u2": [float(v) for v in mdl.u2],
-        "diagnostics": {
-            "k1": mdl.diagnostics.k1,
-            "k2": mdl.diagnostics.k2,
-            "balls": mdl.diagnostics.balls,
-            "dual_iterations": list(mdl.diagnostics.dual_iterations),
-            "dual_residuals": list(mdl.diagnostics.dual_residuals),
-            "converged": mdl.diagnostics.converged,
-            "notes": list(mdl.diagnostics.notes),
-        },
+        "diagnostics": asdict(mdl.diagnostics),
         "normalization": norm,
     }
 
@@ -379,16 +367,10 @@ def deserialize(doc: dict):
         raise ValueError(
             f"model in {cfg.feature_space!r} space is missing its random layer"
         )
-    dd = doc["diagnostics"]
-    diag = FitDiagnostics(
-        k1=int(dd["k1"]),
-        k2=int(dd["k2"]),
-        balls=dd["balls"],
-        dual_iterations=tuple(dd["dual_iterations"]),
-        dual_residuals=tuple(dd["dual_residuals"]),
-        converged=bool(dd["converged"]),
-        notes=list(dd["notes"]),
-    )
+    dd = dict(doc["diagnostics"])
+    for key in ("dual_iterations", "dual_residuals"):
+        dd[key] = tuple(dd[key])
+    diag = FitDiagnostics(**dd)
     return TwinModel(
         u1=np.asarray(doc["u1"], dtype=np.float64),
         u2=np.asarray(doc["u2"], dtype=np.float64),

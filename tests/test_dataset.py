@@ -75,6 +75,42 @@ class TestLoadCsv:
         assert X.tolist() == [[1.5, 2.0], [3.0, 4.0]]
 
 
+def _table(d):
+    return np.column_stack([d.features, d.labels])
+
+
+# both readers, as the matrix of every column they read
+READERS = {
+    "load_csv": lambda path, **kw: _table(load_csv(path, **kw)),
+    "load_features_csv": load_features_csv,
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+class TestCsvReadingRules:
+    @pytest.mark.parametrize("text", ["", "\n\n , \n"])
+    def test_empty_file(self, tmp_path, read, text):
+        with pytest.raises(DataError, match="empty file"):
+            read(write(tmp_path, text))
+
+    def test_malformed_row_names_its_line(self, tmp_path, read):
+        with pytest.raises(DataError, match="malformed row 3: expected 3 columns"):
+            read(write(tmp_path, "1,2,1\n\n3,4,5,-1\n"))
+
+    def test_header_skipped(self, tmp_path, read):
+        X = read(write(tmp_path, "x,y,label\n1,2,1\n3,4,-1\n"), has_header=True)
+        assert X.tolist() == [[1.0, 2.0, 1.0], [3.0, 4.0, -1.0]]
+
+    def test_blank_lines_skipped(self, tmp_path, read):
+        X = read(write(tmp_path, "\n1,2,1\n\n , , \n3,4,-1\n\n"))
+        assert X.tolist() == [[1.0, 2.0, 1.0], [3.0, 4.0, -1.0]]
+
+
+def test_load_features_csv_non_numeric_cell_names_its_line(tmp_path):
+    with pytest.raises(DataError, match="non-numeric cell at row 3"):
+        load_features_csv(write(tmp_path, "1,2\n\noops,4\n"))
+
+
 class TestDatasetInvariants:
     def test_rejects_bad_labels(self):
         with pytest.raises(DataError, match="labels"):

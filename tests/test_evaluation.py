@@ -216,9 +216,9 @@ class TestGridSearch:
         calls = []
         granulate = gbtwin.model.generate_granular_balls
 
-        def counting(d, eta, seed):
+        def counting(d, eta):
             calls.append(d.fingerprint())
-            return granulate(d, eta, seed)
+            return granulate(d, eta)
 
         monkeypatch.setattr(gbtwin.model, "generate_granular_balls", counting)
         d = make_blobs(90, seed=5, spread=1.2, distance=2.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gbtwin.features import (
     SELU_LAMBDA,
+    RandomLayer,
     activate,
     enhanced_features,
     hidden_features,
@@ -88,17 +89,16 @@ class TestHiddenFeatures:
         weights = init_random_layer(3, 4, activation=3, seed=0).weights.copy()
         layer = RandomLayer(weights=weights, bias=np.zeros(4), activation=3, seed=0)
         Z = hidden_features(layer, np.zeros((2, 3)))
-        assert np.allclose(Z.values, 0.5)
-        assert Z.space == "hidden"
+        assert np.allclose(Z, 0.5)
 
     def test_single_row(self):
         layer = init_random_layer(3, 5, activation=2, seed=1)
-        assert hidden_features(layer, np.zeros((1, 3))).values.shape == (1, 5)
+        assert hidden_features(layer, np.zeros((1, 3))).shape == (1, 5)
 
     def test_relu_non_negative(self):
         layer = init_random_layer(3, 6, activation=2, seed=2)
         X = np.random.default_rng(0).normal(size=(4, 3))
-        assert np.all(hidden_features(layer, X).values >= 0.0)
+        assert np.all(hidden_features(layer, X) >= 0.0)
 
     def test_dimension_mismatch(self):
         layer = init_random_layer(3, 5, activation=2, seed=1)
@@ -110,19 +110,40 @@ class TestEnhancedFeatures:
     def test_shape(self):
         layer = init_random_layer(3, 5, activation=3, seed=0)
         H = enhanced_features(layer, np.ones((2, 3)))
-        assert H.values.shape == (2, 8)
-        assert H.space == "enhanced"
+        assert H.shape == (2, 8)
 
     def test_original_block_identity(self):
         layer = init_random_layer(4, 6, activation=1, seed=9)
         X = np.random.default_rng(1).normal(size=(5, 4))
-        H = enhanced_features(layer, X).values
+        H = enhanced_features(layer, X)
         assert np.array_equal(H[:, 6:], X)  # bit-exact
 
     def test_grid_edge_width(self):
         layer = init_random_layer(3, 203, activation=2, seed=0)
         H = enhanced_features(layer, np.zeros((2, 3)))
-        assert H.values.shape == (2, 206)
+        assert H.shape == (2, 206)
+
+
+class TestNonFiniteRule:
+    """Neither map returns a non-finite matrix, even from finite input."""
+
+    @staticmethod
+    def ones_layer(activation):
+        return RandomLayer(weights=np.ones((2, 3)), bias=np.zeros(3),
+                           activation=activation, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_hidden_overflow_rejected(self):
+        layer = self.ones_layer(activation=2)
+        with pytest.raises(ValueError, match="feature matrix contains non-finite entries"):
+            hidden_features(layer, [[1e308, 1e308]])
+
+    def test_enhanced_rejects_non_finite_original_block(self):
+        layer = self.ones_layer(activation=3)
+        X = [[np.inf, 0.0]]
+        assert np.all(np.isfinite(hidden_features(layer, X)))  # sigmoid(inf) = 1
+        with pytest.raises(ValueError, match="feature matrix contains non-finite entries"):
+            enhanced_features(layer, X)
 
 
 class TestLayerMeta:

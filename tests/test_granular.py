@@ -5,11 +5,9 @@ from gbtwin.dataset import Dataset, generate_ndc
 from gbtwin.granular import (
     GranularBallSet,
     centers_matrix,
-    from_document,
     generate_granular_balls,
     majority_label,
     purity,
-    to_document,
     two_means,
 )
 
@@ -117,7 +115,7 @@ class TestGenerate:
     def test_single_label_dataset_one_ball(self):
         d = Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]),
                     np.array([1.0, 1.0, 1.0]))
-        g = generate_granular_balls(d, 0.9, seed=0)
+        g = generate_granular_balls(d, 0.9)
         assert g.k == 1
         ball = g.balls[0]
         assert ball.purity == 1.0 and ball.count == 3
@@ -125,7 +123,7 @@ class TestGenerate:
 
     def test_single_sample(self):
         d = Dataset(np.array([[7.0]]), np.array([-1.0]))
-        g = generate_granular_balls(d, 1.0, seed=0)
+        g = generate_granular_balls(d, 1.0)
         assert g.k == 1
         assert g.balls[0].label == -1.0 and g.balls[0].count == 1
 
@@ -134,7 +132,7 @@ class TestGenerate:
             np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
             np.array([1.0, 1.0, -1.0, -1.0]),
         )
-        g = generate_granular_balls(d, 1.0, seed=0)
+        g = generate_granular_balls(d, 1.0)
         check_partition(g)
         assert all(b.purity == 1.0 for b in g.balls)
 
@@ -142,13 +140,13 @@ class TestGenerate:
         d = random_dataset(0)
         for eta in (0.5, 0.2, 1.01):
             with pytest.raises(ValueError):
-                generate_granular_balls(d, eta, seed=0)
+                generate_granular_balls(d, eta)
 
     def test_partition_and_purity_certificates(self):
         for seed in range(25):
             d = random_dataset(seed)
             eta = (0.8, 0.9, 1.0)[seed % 3]
-            g = generate_granular_balls(d, eta, seed=seed)
+            g = generate_granular_balls(d, eta)
             check_partition(g)
             for b in g.balls:
                 assert b.count == len(b.member_indices)
@@ -162,26 +160,26 @@ class TestGenerate:
     def test_raising_eta_never_reduces_ball_count(self):
         for seed in range(12):
             d = random_dataset(100 + seed)
-            ks = [generate_granular_balls(d, eta, seed=0).k
+            ks = [generate_granular_balls(d, eta).k
                   for eta in (0.6, 0.75, 0.9, 1.0)]
             assert ks == sorted(ks)
 
     def test_compression_on_separable_blobs(self):
         d = generate_ndc(1000, 2, 2, 6.0, seed=5)
-        g = generate_granular_balls(d, 1.0, seed=0)
+        g = generate_granular_balls(d, 1.0)
         assert g.k <= d.n / 10
 
     def test_identical_rows_mixed_labels_warns(self):
         d = Dataset(np.ones((4, 2)), np.array([1.0, 1.0, -1.0, -1.0]))
         with pytest.warns(UserWarning, match="identical rows"):
-            g = generate_granular_balls(d, 1.0, seed=0)
+            g = generate_granular_balls(d, 1.0)
         check_partition(g)
         assert g.k == 1 and g.balls[0].purity == 0.5
 
     def test_deterministic(self):
         d = random_dataset(42)
-        a = generate_granular_balls(d, 0.85, seed=3)
-        b = generate_granular_balls(d, 0.85, seed=3)
+        a = generate_granular_balls(d, 0.85)
+        b = generate_granular_balls(d, 0.85)
         assert a.k == b.k
         for x, y in zip(a.balls, b.balls):
             assert np.array_equal(x.member_indices, y.member_indices)
@@ -190,39 +188,27 @@ class TestGenerate:
 class TestCentersMatrix:
     def test_single_ball_mean(self):
         d = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        g = generate_granular_balls(d, 0.9, seed=0)
+        g = generate_granular_balls(d, 0.9)
         C, t = centers_matrix(g)
         assert C.tolist() == [[2.0, 3.0]]
         assert t.tolist() == [1.0]
 
     def test_row_count_matches_k(self):
         d = random_dataset(7)
-        g = generate_granular_balls(d, 0.9, seed=0)
+        g = generate_granular_balls(d, 0.9)
         C, t = centers_matrix(g)
         assert C.shape == (g.k, d.m) and t.shape == (g.k,)
 
     def test_row_permutation_keeps_center_multiset(self):
         d = random_dataset(13, n=60, m=3)
-        g1 = generate_granular_balls(d, 0.9, seed=0)
+        g1 = generate_granular_balls(d, 0.9)
         rng = np.random.default_rng(99)
         perm = rng.permutation(d.n)
         d2 = Dataset(d.features[perm], d.labels[perm])
-        g2 = generate_granular_balls(d2, 0.9, seed=0)
+        g2 = generate_granular_balls(d2, 0.9)
         c1, t1 = centers_matrix(g1)
         c2, t2 = centers_matrix(g2)
         set1 = {(round(t, 6), tuple(np.round(c, 9))) for c, t in zip(c1, t1)}
         set2 = {(round(t, 6), tuple(np.round(c, 9))) for c, t in zip(c2, t2)}
         assert set1 == set2
 
-
-class TestSerialization:
-    def test_document_roundtrip(self):
-        d = random_dataset(21)
-        g = generate_granular_balls(d, 0.8, seed=2)
-        back = from_document(to_document(g))
-        assert back.k == g.k and back.eta == g.eta
-        assert back.dataset_hash == g.dataset_hash
-        for x, y in zip(g.balls, back.balls):
-            assert np.array_equal(x.member_indices, y.member_indices)
-            assert np.allclose(x.center, y.center)
-            assert x.label == y.label and x.purity == y.purity

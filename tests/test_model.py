@@ -193,6 +193,13 @@ class TestPredict:
         with pytest.raises(DataError, match="non-finite"):
             decision_values(mdl, X[1])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_row_that_overflows_the_hidden_map_rejected(self):
+        d = make_blobs(40, seed=13)
+        mdl = fit(plain_config(feature_space="hidden", h=5, activation=2), d)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            predict(mdl, np.array([[1.7e308, 1.7e308]]))
+
 
 class TestRvflBaseline:
     def test_heavy_ridge_shrinks_weights(self):
@@ -255,6 +262,22 @@ class TestSerialization:
         assert back.layer is None
         probe = make_blobs(40, seed=14).features
         assert np.array_equal(predict(mdl, probe), predict(back, probe))
+
+    def test_diagnostics_roundtrip(self, tmp_path):
+        mdl, path = self.fitted(tmp_path)
+        assert mdl.diagnostics.converged and mdl.diagnostics.balls
+        assert load_model(path).diagnostics == mdl.diagnostics
+
+    def test_unconverged_diagnostics_roundtrip(self, tmp_path):
+        mdl = fit(plain_config(), make_blobs(60, seed=6), qp_max_iter=1)
+        assert not mdl.diagnostics.converged and mdl.diagnostics.notes
+        path = tmp_path / "model.json"
+        save_model(mdl, path)
+        assert load_model(path).diagnostics == mdl.diagnostics
+        assert list(json.loads(path.read_text())["diagnostics"]) == [
+            "k1", "k2", "balls", "dual_iterations", "dual_residuals",
+            "converged", "notes",
+        ]
 
     def test_corrupted_checksum_rejected(self, tmp_path):
         _, path = self.fitted(tmp_path)
