@@ -3,7 +3,6 @@
 from .dataset import (
     DataError,
     Dataset,
-    DatasetMeta,
     SplitPair,
     generate_ndc,
     inject_label_noise,

@@ -45,7 +45,7 @@ TWIN_VARIANTS = {
     "ef-gbtsvm": (True, "enhanced"),
 }
 BASELINE_VARIANTS = {"rvfl": True, "rvfl-wodl": False}  # value: direct links
-ABLATION_VARIANTS = ("tsvm", "gbtsvm", "hf-tsvm", "hf-gbtsvm", "ef-tsvm", "ef-gbtsvm")
+ABLATION_VARIANTS = tuple(TWIN_VARIANTS)
 COMPARE_VARIANTS = ABLATION_VARIANTS + ("rvfl", "rvfl-wodl")
 
 
@@ -298,6 +298,15 @@ def _report_path(opts: dict) -> str:
     return opts["report"] or f"{opts['out']}.report.json"
 
 
+def _write_table(path, columns, records) -> None:
+    """Write a CSV with a header of ``columns`` and one line per record."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow([record[c] for c in columns])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -316,7 +325,7 @@ def cmd_train(opts: dict) -> int:
         "command": "train",
         "run_config": _run_config("train", opts),
         "variant": opts["variant"],
-        "train_metrics": metrics.as_dict(),
+        "train_metrics": asdict(metrics),
         "timings": {"fit_seconds": fit_seconds},
     }
     if isinstance(mdl, md.TwinModel):
@@ -382,18 +391,13 @@ def cmd_gridsearch(opts: dict) -> int:
         "variant": variant,
         "best_config": asdict(best_cfg),
         "cv_table": table,
-        "test_metrics": metrics.as_dict(),
+        "test_metrics": asdict(metrics),
     }
     ev.emit_report(report, opts["out"])
     if opts["csv"]:
-        with open(opts["csv"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d", "h", "activation", "mean_acc", "skipped_folds"])
-            for row in table:
-                writer.writerow(
-                    [row["d"], row["h"], row["activation"], row["mean_acc"],
-                     row["skipped_folds"]]
-                )
+        _write_table(
+            opts["csv"], ["d", "h", "activation", "mean_acc", "skipped_folds"], table
+        )
     print(f"gridsearch {variant}: best d={best_cfg.d1:g} h={best_cfg.h} "
           f"act={best_cfg.activation}, test acc {metrics.acc:.4f}")
     return 0
@@ -408,11 +412,7 @@ def cmd_noise_sweep(opts: dict) -> int:
         mdl = _fit_variant(opts["variant"], opts, noisy, opts["seed"])
         acc = ev.compute_metrics(test.labels, md.predict(mdl, test.features)).acc
         rows.append({"rate": rate, "accuracy": acc})
-    with open(opts["out"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rate", "accuracy"])
-        for row in rows:
-            writer.writerow([row["rate"], row["accuracy"]])
+    _write_table(opts["out"], ["rate", "accuracy"], rows)
     report = {
         "command": "noise-sweep",
         "run_config": _run_config("noise-sweep", opts),
@@ -448,15 +448,11 @@ def cmd_scale_bench(opts: dict) -> int:
     }
     ev.emit_report(report, opts["out"])
     if opts["csv"]:
-        with open(opts["csv"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variant", "n", "k", "fit_seconds", "accuracy"])
-            for name, rows in tables.items():
-                for row in rows:
-                    writer.writerow(
-                        [name, row["n"], row["k"], row["fit_seconds"],
-                         row["accuracy"]]
-                    )
+        _write_table(
+            opts["csv"],
+            ["variant", "n", "k", "fit_seconds", "accuracy"],
+            [{"variant": name, **row} for name, rows in tables.items() for row in rows],
+        )
     for name, rows in tables.items():
         for row in rows:
             print(f"{name}: n={row['n']} k={row['k']} "
@@ -512,7 +508,7 @@ def cmd_ablate(opts: dict) -> int:
     for variant in ABLATION_VARIANTS:
         mdl = _fit_variant(variant, opts, train, opts["seed"])
         metrics = ev.compute_metrics(test.labels, md.predict(mdl, test.features))
-        rows.append({"variant": variant, **metrics.as_dict()})
+        rows.append({"variant": variant, **asdict(metrics)})
     report = {
         "command": "ablate",
         "run_config": _run_config("ablate", opts),
@@ -544,16 +540,10 @@ def main(argv=None) -> int:
             raise UsageError("missing subcommand")
         opts = resolve_options(args, args.command)
         return HANDLERS[args.command](opts)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (FileNotFoundError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, md.FitError) as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +19,11 @@ class DataError(Exception):
 
 
 @dataclass(frozen=True)
-class DatasetMeta:
-    source: str = ""
-    normalization: str = "none"
-    noise_rate: float = 0.0
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Labeled sample matrix with labels in {+1, -1}."""
 
     features: np.ndarray
     labels: np.ndarray
-    meta: DatasetMeta = field(default_factory=DatasetMeta)
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, copy=True)
@@ -47,9 +38,6 @@ class Dataset:
             raise DataError("features contain non-finite values")
         if not np.all((labs == 1.0) | (labs == -1.0)):
             raise DataError("labels must be exactly +1 or -1")
-        if self.meta.normalization == "min-max":
-            if feats.min() < 0.0 or feats.max() > 1.0:
-                raise DataError("min-max normalized features must lie in [0, 1]")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -71,17 +59,15 @@ class Dataset:
         return h.hexdigest()[:16]
 
     def take(self, indices) -> "Dataset":
-        """Row subset, metadata carried over."""
+        """Row subset."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.meta)
+        return Dataset(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
 class SplitPair:
     train: Dataset
     test: Dataset
-    ratio: float
-    seed: int
 
 
 def _read_rows(path, has_header: bool) -> tuple[list[list[str]], list[int]]:
@@ -155,7 +141,7 @@ def load_csv(
                     f"non-numeric feature {row[j]!r} at row {lineno}, column {j + 1}"
                 ) from None
         labs[i] = 1.0 if row[col] == positive_label_token else -1.0
-    return Dataset(feats, labs, DatasetMeta(source=str(path)))
+    return Dataset(feats, labs)
 
 
 def load_features_csv(path, has_header: bool = False) -> np.ndarray:
@@ -170,12 +156,10 @@ def load_features_csv(path, has_header: bool = False) -> np.ndarray:
     return feats
 
 
-def write_csv(d: Dataset, path, header: bool = False) -> None:
+def write_csv(d: Dataset, path) -> None:
     """Write features plus a trailing +1/-1 label column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"f{j}" for j in range(d.m)] + ["label"])
         for x, y in zip(d.features, d.labels):
             writer.writerow([repr(float(v)) for v in x] + [str(int(y))])
 
@@ -185,23 +169,24 @@ def minmax_ranges(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return d.features.min(axis=0), d.features.max(axis=0)
 
 
+def scale_minmax(X, lo, hi) -> np.ndarray:
+    """Map columns from [lo, hi] to [0, 1]; a column with hi <= lo is only shifted."""
+    span = hi - lo
+    safe = np.where(span > 0, span, 1.0)
+    return (X - lo) / safe
+
+
 def normalize_minmax(d: Dataset, ranges=None) -> Dataset:
     """Rescale each column to [0, 1]; constant columns map to 0.
 
     When ``ranges`` is given (fitted on another dataset, typically the
-    training split) those bounds are reused and the result may leave [0, 1];
-    the metadata then records ``min-max-ref`` instead of ``min-max``.
+    training split) those bounds are reused and the result may leave [0, 1].
     """
     if ranges is None:
         lo, hi = minmax_ranges(d)
-        tag = "min-max"
     else:
         lo, hi = np.asarray(ranges[0], float), np.asarray(ranges[1], float)
-        tag = "min-max-ref"
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    feats = (d.features - lo) / safe
-    return Dataset(feats, d.labels, replace(d.meta, normalization=tag))
+    return Dataset(scale_minmax(d.features, lo, hi), d.labels)
 
 
 def split_train_test(d: Dataset, ratio: float, seed: int) -> SplitPair:
@@ -216,7 +201,7 @@ def split_train_test(d: Dataset, ratio: float, seed: int) -> SplitPair:
     perm = np.random.default_rng(seed).permutation(d.n)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
-    return SplitPair(d.take(train_idx), d.take(test_idx), ratio, seed)
+    return SplitPair(d.take(train_idx), d.take(test_idx))
 
 
 def inject_label_noise(d: Dataset, rate: float, seed: int) -> Dataset:
@@ -228,7 +213,7 @@ def inject_label_noise(d: Dataset, rate: float, seed: int) -> Dataset:
     if count:
         idx = np.random.default_rng(seed).choice(d.n, size=count, replace=False)
         labs[idx] = -labs[idx]
-    return Dataset(d.features, labs, replace(d.meta, noise_rate=rate, seed=seed))
+    return Dataset(d.features, labs)
 
 
 def generate_ndc(
@@ -264,11 +249,7 @@ def generate_ndc(
         order = np.argsort(np.abs(feats @ normal + offset), kind="stable")
         labs[order[:flip]] = -labs[order[:flip]]
 
-    meta = DatasetMeta(
-        source=f"ndc(n={n},m={m},clusters={n_clusters},sep={separability})",
-        seed=seed,
-    )
-    return Dataset(feats, labs, meta)
+    return Dataset(feats, labs)
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:

@@ -33,18 +33,6 @@ class Metrics:
     precision: float | None
     recall: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "tn": self.tn,
-            "fp": self.fp,
-            "fn": self.fn,
-            "acc": self.acc,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
-
 
 def compute_metrics(y_true, y_pred) -> Metrics:
     """Confusion counts and ratio metrics with +1 as the positive class.
@@ -227,19 +215,18 @@ def grid_search_cv(
 def benchmark_fit(
     cfg: ModelConfig,
     datasets,
-    ratio: float = 0.7,
     repeats: int = 3,
 ):
     """Wall-clock fit timing over datasets of increasing size.
 
-    Each dataset is split, the model is fit ``repeats`` times on the training
-    part (median time reported), and accuracy is measured on the held-out
-    part. ``k`` is the row count the dual solvers actually saw: granular
-    balls when granulating, otherwise training samples.
+    Each dataset is split 70/30, the model is fit ``repeats`` times on the
+    training part (median time reported), and accuracy is measured on the
+    held-out part. ``k`` is the row count the dual solvers actually saw:
+    granular balls when granulating, otherwise training samples.
     """
     rows = []
     for d in datasets:
-        pair = split_train_test(d, ratio, cfg.seed)
+        pair = split_train_test(d, 0.7, cfg.seed)
         times = []
         mdl = None
         for _ in range(max(1, repeats)):

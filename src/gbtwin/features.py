@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .dataset import DataError
+
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
@@ -106,7 +108,7 @@ def init_random_layer(m: int, h: int, activation: int, seed: int) -> RandomLayer
 def _check_finite(values: np.ndarray) -> None:
     # a finite row can still overflow, e.g. relu on rows near the float max
     if not np.all(np.isfinite(values)):
-        raise ValueError("feature matrix contains non-finite entries")
+        raise DataError("feature matrix contains non-finite entries")
 
 
 def hidden_features(layer: RandomLayer, X) -> np.ndarray:

@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .dataset import Dataset
 
@@ -33,9 +32,7 @@ class GranularBall:
 @dataclass(frozen=True)
 class GranularBallSet:
     balls: tuple[GranularBall, ...]
-    eta: float
     n: int
-    m: int
 
     @property
     def k(self) -> int:
@@ -58,28 +55,24 @@ def majority_label(labels) -> float:
     return 1.0 if pos >= labs.size - pos else -1.0
 
 
-def two_means(points, labels=None):
+def two_means(points, labels):
     """Split points into two non-empty groups with Lloyd's algorithm, k = 2.
 
-    Initialization is deterministic: one centroid per class mean when
-    ``labels`` holds both classes, otherwise the two mutually farthest points
-    (ties by lowest index; quadratic in the number of points). If Lloyd's
-    iteration empties a cluster the points are split into two halves by index
-    order instead, so both returned index arrays are always non-empty.
+    Initialization is deterministic: one centroid per class mean, so
+    ``labels`` must hold both classes, as every ball granulation splits does.
+    If Lloyd's iteration empties a cluster the points are split into two
+    halves by index order instead, so both returned index arrays are always
+    non-empty.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("two_means needs at least 2 points")
     n = pts.shape[0]
-
-    labs = None if labels is None else np.asarray(labels, dtype=np.float64)
-    if labs is not None and np.any(labs > 0) and np.any(labs < 0):
-        c0 = pts[labs > 0].mean(axis=0)
-        c1 = pts[labs < 0].mean(axis=0)
-    else:
-        dist = pdist(pts)
-        i, j = _condensed_argmax(dist, n)
-        c0, c1 = pts[i], pts[j]
+    labs = np.asarray(labels, dtype=np.float64)
+    if not (np.any(labs > 0) and np.any(labs < 0)):
+        raise ValueError("two_means needs labels of both classes")
+    c0 = pts[labs > 0].mean(axis=0)
+    c1 = pts[labs < 0].mean(axis=0)
 
     # With k = 2, x is nearer c1 than c0 exactly when
     # x . (c1 - c0) > (|c1|^2 - |c0|^2) / 2, so one matvec assigns every
@@ -99,19 +92,6 @@ def two_means(points, labels=None):
         c0 = (total - s1) / (n - n1)
         c1 = s1 / n1
     return np.flatnonzero(~assign), np.flatnonzero(assign)
-
-
-def _condensed_argmax(dist, n):
-    # argmax returns the first maximum, which corresponds to the
-    # lexicographically smallest (i, j) pair in condensed ordering
-    flat = int(np.argmax(dist))
-    i = 0
-    block = n - 1
-    while flat >= block:
-        flat -= block
-        i += 1
-        block -= 1
-    return i, i + 1 + flat
 
 
 def generate_granular_balls(d: Dataset, eta: float) -> GranularBallSet:
@@ -154,9 +134,7 @@ def generate_granular_balls(d: Dataset, eta: float) -> GranularBallSet:
         )
     return GranularBallSet(
         balls=tuple(balls),
-        eta=eta,
         n=d.n,
-        m=d.m,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import features as ft
 from . import qp
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, scale_minmax
 from .granular import centers_matrix, generate_granular_balls
 
 MODEL_SCHEMA_VERSION = 1
@@ -75,22 +75,6 @@ class TwinModel:
     diagnostics: FitDiagnostics
     normalization: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
-    def w1(self) -> np.ndarray:
-        return self.u1[:-1]
-
-    @property
-    def b1(self) -> float:
-        return float(self.u1[-1])
-
-    @property
-    def w2(self) -> np.ndarray:
-        return self.u2[:-1]
-
-    @property
-    def b2(self) -> float:
-        return float(self.u2[-1])
-
 
 def _map_rows(space: str, layer: ft.RandomLayer | None, X: np.ndarray) -> np.ndarray:
     if space == "original":
@@ -113,6 +97,19 @@ def ball_centers(train: Dataset, eta: float) -> Dataset:
             "single class among granular-ball labels; both classes are required"
         )
     return Dataset(rows, labels)
+
+
+def _plane(near, far, upper, delta, qp_tol, qp_max_iter):
+    """Plane through the ``near`` rows, kept from the ``far`` rows by one dual.
+
+    Rows carry a trailing column of ones. Factorizes the ridge Gram matrix of
+    the near rows, solves the box-constrained dual over the far rows, and
+    returns ``(G^-1 far' alpha, dual solution)``; the caller fixes the sign.
+    """
+    gram = qp.ridge_factorize(near, delta)
+    q = far @ qp.solve_spd(gram, far.T)
+    sol = qp.solve_box_qp(qp.BoxQP(q, upper), tol=qp_tol, max_iter=qp_max_iter)
+    return qp.solve_spd(gram, far.T @ sol.alpha), sol
 
 
 def fit(
@@ -147,17 +144,9 @@ def fit(
     aug_pos = np.hstack([pos, np.ones((pos.shape[0], 1))])
     aug_neg = np.hstack([neg, np.ones((neg.shape[0], 1))])
 
-    gram_pos = qp.ridge_factorize(aug_pos, cfg.delta)
-    q1 = aug_neg @ qp.solve_spd(gram_pos, aug_neg.T)
-    sol1 = qp.solve_box_qp(qp.BoxQP(q1, cfg.d1), tol=qp_tol, max_iter=qp_max_iter)
-    u1 = -qp.solve_spd(gram_pos, aug_neg.T @ sol1.alpha)
-    del q1
-
-    gram_neg = qp.ridge_factorize(aug_neg, cfg.delta)
-    q2 = aug_pos @ qp.solve_spd(gram_neg, aug_pos.T)
-    sol2 = qp.solve_box_qp(qp.BoxQP(q2, cfg.d2), tol=qp_tol, max_iter=qp_max_iter)
-    u2 = qp.solve_spd(gram_neg, aug_pos.T @ sol2.alpha)
-    del q2
+    u1, sol1 = _plane(aug_pos, aug_neg, cfg.d1, cfg.delta, qp_tol, qp_max_iter)
+    u1 = -u1
+    u2, sol2 = _plane(aug_neg, aug_pos, cfg.d2, cfg.delta, qp_tol, qp_max_iter)
 
     if np.linalg.norm(u1[:-1]) <= ZERO_NORMAL_TOL or np.linalg.norm(u2[:-1]) <= ZERO_NORMAL_TOL:
         raise FitError(
@@ -196,47 +185,43 @@ def _normalization_arrays(normalization):
     return np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
 
 
-def _apply_normalization(mdl, X):
-    if getattr(mdl, "normalization", None) is None:
-        return X
-    lo, hi = mdl.normalization
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    return (X - lo) / span
-
-
 def _checked_input(mdl, X) -> np.ndarray:
-    """Raw rows for any model kind: width and finiteness checked, normalized."""
+    """Raw rows for any model kind: width checked, normalized, then checked finite."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != mdl.m:
         raise DataError(f"expected {mdl.m} features, got {X.shape[1]}")
+    if mdl.normalization is not None:
+        X = scale_minmax(X, *mdl.normalization)
+    # after scaling: a finite raw row can overflow once the ranges scale it
     if not np.all(np.isfinite(X)):
         raise DataError("input rows contain non-finite values")
-    return _apply_normalization(mdl, X)
+    return X
 
 
-def _mapped_input(mdl, X) -> np.ndarray:
-    return _map_rows(mdl.config.feature_space, mdl.layer, _checked_input(mdl, X))
+def _plane_distances(mdl: TwinModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized distances of raw rows to the two hyperplanes."""
+    mapped = _map_rows(mdl.config.feature_space, mdl.layer, _checked_input(mdl, X))
+    z = np.hstack([mapped, np.ones((mapped.shape[0], 1))])
+    d1 = np.abs(z @ mdl.u1) / np.linalg.norm(mdl.u1[:-1])
+    d2 = np.abs(z @ mdl.u2) / np.linalg.norm(mdl.u2[:-1])
+    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+        raise DataError("input rows overflow the distances to the hyperplanes")
+    return d1, d2
 
 
 def decision_values(mdl: TwinModel, x) -> tuple[float, float]:
     """Normalized distances of one raw sample to the two hyperplanes."""
-    mapped = _mapped_input(mdl, x)
-    if mapped.shape[0] != 1:
+    d1, d2 = _plane_distances(mdl, x)
+    if d1.shape[0] != 1:
         raise DataError("decision_values takes a single sample row")
-    z = np.append(mapped[0], 1.0)
-    d1 = abs(float(z @ mdl.u1)) / float(np.linalg.norm(mdl.w1))
-    d2 = abs(float(z @ mdl.u2)) / float(np.linalg.norm(mdl.w2))
-    return d1, d2
+    return float(d1[0]), float(d2[0])
 
 
 def predict(mdl, X) -> np.ndarray:
     """Labels for raw sample rows; equidistant points go to +1."""
     if isinstance(mdl, RVFLModel):
         return _predict_rvfl(mdl, X)
-    mapped = _mapped_input(mdl, X)
-    z = np.hstack([mapped, np.ones((mapped.shape[0], 1))])
-    d1 = np.abs(z @ mdl.u1) / np.linalg.norm(mdl.w1)
-    d2 = np.abs(z @ mdl.u2) / np.linalg.norm(mdl.w2)
+    d1, d2 = _plane_distances(mdl, X)
     return np.where(d1 <= d2, 1.0, -1.0)
 
 
@@ -296,6 +281,8 @@ def _predict_rvfl(mdl: RVFLModel, X) -> np.ndarray:
     X = _checked_input(mdl, X)
     phi = _map_rows(_rvfl_space(mdl.direct_links), mdl.layer, X)
     scores = phi @ mdl.weights
+    if not np.all(np.isfinite(scores)):
+        raise DataError("input rows overflow the RVFL scores")
     return np.where(scores >= 0.0, 1.0, -1.0)
 
 

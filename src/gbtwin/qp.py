@@ -29,13 +29,11 @@ class NumericalError(Exception):
 
 @dataclass(frozen=True)
 class RidgeGram:
-    source: np.ndarray  # r x c
-    delta: float
-    factor: tuple  # scipy cho_factor output for source'source + delta*I
+    factor: tuple  # scipy cho_factor output for A'A + delta*I, A r x c
 
     @property
     def c(self) -> int:
-        return self.source.shape[1]
+        return self.factor[0].shape[1]
 
 
 def ridge_factorize(A, delta: float) -> RidgeGram:
@@ -56,7 +54,7 @@ def ridge_factorize(A, delta: float) -> RidgeGram:
             f"ridge factorization failed (condition estimate {cond:.3e}); "
             f"delta={delta} is too small for this matrix"
         ) from exc
-    return RidgeGram(source=A, delta=float(delta), factor=factor)
+    return RidgeGram(factor=factor)
 
 
 def solve_spd(g: RidgeGram, rhs):
@@ -127,15 +125,9 @@ class BoxQP:
 @dataclass(frozen=True)
 class QPSolution:
     alpha: np.ndarray
-    objective_value: float
     kkt_residual: float
     iterations: int
     converged: bool
-
-
-def box_qp_objective(q: BoxQP, alpha) -> float:
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return float(alpha.sum() - 0.5 * alpha @ q.Q @ alpha)
 
 
 def kkt_residual(q: BoxQP, alpha) -> float:
@@ -177,7 +169,6 @@ def solve_box_qp(
     alpha, sweeps, residual = _sweeps(q.Q, q.upper, tol, max_iter)
     return QPSolution(
         alpha=alpha,
-        objective_value=box_qp_objective(q, alpha),
         kkt_residual=residual,
         iterations=sweeps,
         converged=residual <= tol,

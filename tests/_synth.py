@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gbtwin.dataset import Dataset, DatasetMeta
+from gbtwin.dataset import Dataset
 
 
 def make_crossplane(n=130, seed=0, gap=2.0, jitter=0.03):
@@ -24,11 +24,7 @@ def make_crossplane(n=130, seed=0, gap=2.0, jitter=0.03):
     feats = np.vstack([pos, neg])
     labs = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
     order = rng.permutation(n)
-    return Dataset(
-        feats[order],
-        labs[order],
-        DatasetMeta(source=f"crossplane(n={n})", seed=seed),
-    )
+    return Dataset(feats[order], labs[order])
 
 
 def make_blobs(n, seed, spread=0.4, distance=4.0, m=2):
@@ -43,4 +39,4 @@ def make_blobs(n, seed, spread=0.4, distance=4.0, m=2):
     feats = np.vstack([pos, neg])
     labs = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
     order = rng.permutation(n)
-    return Dataset(feats[order], labs[order], DatasetMeta(source="blobs", seed=seed))
+    return Dataset(feats[order], labs[order])

@@ -82,6 +82,21 @@ class TestTrainPredict:
                    "--out", tmp_path / "y.csv") == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["tsvm", "hf-tsvm", "ef-tsvm", "rvfl"])
+    def test_predict_overflowing_row_is_data_error(self, tmp_path, capsys, variant):
+        # a finite raw row that the stored ranges scale past the float range
+        data = tmp_path / "x.csv"
+        model = tmp_path / "model.json"
+        assert run("gen-ndc", "--n", 300, "--m", 5, "--seed", 7, "--out", data) == 0
+        assert run("train", "--variant", variant, "--data", data, "--seed", 7,
+                   "--activation", 2, "--out", model) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(["1.7e308"] * 5) + "\n")
+        assert run("predict", "--model", model, "--data", bad,
+                   "--out", tmp_path / "y.csv") == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_train_single_class_is_data_error(self, tmp_path):
         path = tmp_path / "single.csv"
         path.write_text("1,2,1\n3,4,1\n5,6,1\n")

@@ -135,7 +135,6 @@ class TestNormalize:
         d = Dataset(np.array([[2.0], [4.0], [6.0]]), np.array([1.0, -1.0, 1.0]))
         nd = normalize_minmax(d)
         assert nd.features[:, 0].tolist() == [0.0, 0.5, 1.0]
-        assert nd.meta.normalization == "min-max"
 
     def test_constant_column_maps_to_zero(self):
         d = Dataset(np.array([[5.0], [5.0]]), np.array([1.0, -1.0]))
@@ -150,7 +149,6 @@ class TestNormalize:
         test = Dataset(np.array([[4.0]]), np.array([1.0]))
         nt = normalize_minmax(test, minmax_ranges(train))
         assert nt.features[0, 0] == 2.0
-        assert nt.meta.normalization == "min-max-ref"
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -205,7 +203,6 @@ class TestLabelNoise:
         d = generate_ndc(100, 2, 2, 1.0, seed=1)
         nd = inject_label_noise(d, 0.1, seed=7)
         assert int((nd.labels != d.labels).sum()) == 10
-        assert nd.meta.noise_rate == 0.1
 
     @given(st.integers(2, 60), st.floats(0.0, 1.0), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)

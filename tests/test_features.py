@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbtwin.dataset import DataError
 from gbtwin.features import (
     SELU_LAMBDA,
     RandomLayer,
@@ -135,14 +136,14 @@ class TestNonFiniteRule:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_hidden_overflow_rejected(self):
         layer = self.ones_layer(activation=2)
-        with pytest.raises(ValueError, match="feature matrix contains non-finite entries"):
+        with pytest.raises(DataError, match="feature matrix contains non-finite entries"):
             hidden_features(layer, [[1e308, 1e308]])
 
     def test_enhanced_rejects_non_finite_original_block(self):
         layer = self.ones_layer(activation=3)
         X = [[np.inf, 0.0]]
         assert np.all(np.isfinite(hidden_features(layer, X)))  # sigmoid(inf) = 1
-        with pytest.raises(ValueError, match="feature matrix contains non-finite entries"):
+        with pytest.raises(DataError, match="feature matrix contains non-finite entries"):
             enhanced_features(layer, X)
 
 

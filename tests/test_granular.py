@@ -49,20 +49,20 @@ class TestPurity:
 
 class TestTwoMeans:
     def test_two_points_always_split(self):
-        a, b = two_means(np.array([[0.0], [10.0]]))
+        a, b = two_means(np.array([[0.0], [10.0]]), [1.0, -1.0])
         assert {tuple(a.tolist()), tuple(b.tolist())} == {(0,), (1,)}
 
     def test_separated_blobs_match_min_sse_partition(self):
         rng = np.random.default_rng(0)
         X = np.vstack([rng.uniform(-0.5, 0.5, size=(4, 2)),
                        rng.uniform(99.5, 100.5, size=(4, 2))])
-        a, b = two_means(X)
+        a, b = two_means(X, [1.0, -1.0] * 4)
         got = frozenset([frozenset(a.tolist()), frozenset(b.tolist())])
         best, _ = min_sse_bipartition(X)
         assert got == best
 
     def test_identical_points_fall_back_to_halves(self):
-        a, b = two_means(np.zeros((5, 3)))
+        a, b = two_means(np.zeros((5, 3)), [1.0, -1.0, 1.0, -1.0, 1.0])
         assert len(a) == 3 and len(b) == 2
         assert sorted(np.concatenate([a, b]).tolist()) == [0, 1, 2, 3, 4]
 
@@ -72,22 +72,15 @@ class TestTwoMeans:
         a, b = two_means(X, labels=labs)
         assert sorted(a.tolist()) == [0, 1] and sorted(b.tolist()) == [2, 3]
 
-    @pytest.mark.parametrize("labeled", [True, False])
-    def test_matches_squared_distance_lloyd(self, labeled):
-        rng = np.random.default_rng(12 if labeled else 13)
+    def test_matches_squared_distance_lloyd(self):
+        rng = np.random.default_rng(12)
         for _ in range(40):
             n = int(rng.integers(4, 200))
             m = int(rng.integers(1, 8))
             X = rng.normal(size=(n, m))
-            if labeled:
-                labs = rng.choice([-1.0, 1.0], size=n)
-                labs[:2] = [1.0, -1.0]
-                c0, c1 = X[labs > 0].mean(axis=0), X[labs < 0].mean(axis=0)
-            else:
-                labs = None
-                dist = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-                i, j = np.unravel_index(np.argmax(np.triu(dist)), dist.shape)
-                c0, c1 = X[i], X[j]
+            labs = rng.choice([-1.0, 1.0], size=n)
+            labs[:2] = [1.0, -1.0]
+            c0, c1 = X[labs > 0].mean(axis=0), X[labs < 0].mean(axis=0)
             assign, emptied = lloyd_two_means_reference(X, c0, c1)
             assert not emptied
             a, b = two_means(X, labels=labs)
@@ -108,7 +101,13 @@ class TestTwoMeans:
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            two_means(np.zeros((1, 2)))
+            two_means(np.zeros((1, 2)), [1.0])
+
+    def test_single_class_labels_rejected(self):
+        X = np.array([[0.0], [1.0], [5.0]])
+        for labels in ([1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]):
+            with pytest.raises(ValueError, match="both classes"):
+                two_means(X, labels)
 
 
 class TestGenerate:

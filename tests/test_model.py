@@ -1,13 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbtwin.dataset import DataError, Dataset, split_train_test
+from gbtwin.dataset import DataError, Dataset, load_features_csv, split_train_test
+from gbtwin.features import init_random_layer
 from gbtwin.model import (
     FitDiagnostics,
     FitError,
     ModelConfig,
+    RVFLModel,
     TwinModel,
     decision_values,
     deserialize,
@@ -114,7 +117,7 @@ class TestFit:
 
     def test_label_swap_symmetry(self):
         d = make_blobs(50, seed=4)
-        swapped = Dataset(d.features, -d.labels, d.meta)
+        swapped = Dataset(d.features, -d.labels)
         cfg = plain_config(d1=1.0, d2=1.0)
         probe = make_blobs(30, seed=5).features
         a = predict(fit(cfg, d), probe)
@@ -197,8 +200,17 @@ class TestPredict:
     def test_finite_row_that_overflows_the_hidden_map_rejected(self):
         d = make_blobs(40, seed=13)
         mdl = fit(plain_config(feature_space="hidden", h=5, activation=2), d)
-        with pytest.raises(ValueError, match="non-finite entries"):
+        with pytest.raises(DataError, match="non-finite entries"):
             predict(mdl, np.array([[1.7e308, 1.7e308]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_row_whose_distance_overflows_rejected(self):
+        mdl = manual_twin([1.0, 1.0, 0.0], [0.0, 1.0, 0.0], m=2)
+        X = np.array([[1e308, 1e308]])
+        with pytest.raises(DataError, match="overflow"):
+            predict(mdl, X)
+        with pytest.raises(DataError, match="overflow"):
+            decision_values(mdl, X[0])
 
 
 class TestRvflBaseline:
@@ -237,6 +249,14 @@ class TestRvflBaseline:
         X[2, 1] = bad
         with pytest.raises(DataError, match="non-finite"):
             predict(mdl, X)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_row_whose_score_overflows_rejected(self):
+        mdl = RVFLModel(weights=np.array([0.0, 1.0, 1.0]), m=2,
+                        layer=init_random_layer(2, 1, 3, seed=0),
+                        direct_links=True, ridge=1.0)
+        with pytest.raises(DataError, match="overflow"):
+            predict(mdl, np.array([[1e308, 1e308]]))
 
 
 class TestSerialization:
@@ -323,3 +343,26 @@ class TestSerialization:
         assert np.array_equal(predict(mdl, probe), predict(back, probe))
         doc = serialize(back)
         assert doc["normalization"] is not None
+
+
+class TestLegacyDocuments:
+    """Model documents written by an earlier gbtwin still load and predict.
+
+    ``data/legacy_models`` holds a ``tsvm`` document with normalization
+    ranges, an ``ef-gbtsvm`` document with h = 4 and an ``rvfl`` document, all
+    trained by ``gbtwin train`` on ``gen-ndc --n 80 --m 3 --clusters 4
+    --separability 1.5 --seed 11`` with ``--seed 5 --hidden 4``, plus 16
+    probe rows and the labels that version's ``predict`` gave them.
+    """
+
+    DIR = Path(__file__).parent / "data" / "legacy_models"
+
+    @pytest.mark.parametrize("kind", ["tsvm", "ef-gbtsvm", "rvfl"])
+    def test_load_and_predict_reproduce_labels(self, kind):
+        probe = load_features_csv(self.DIR / "probe.csv")
+        labels = self.DIR / "probe_labels.csv"
+        column = labels.read_text().splitlines()[0].split(",").index(kind)
+        expected = np.loadtxt(labels, delimiter=",", skiprows=1)[:, column]
+        assert set(expected.tolist()) == {-1.0, 1.0}
+        mdl = load_model(self.DIR / f"{kind}.json")
+        assert np.array_equal(predict(mdl, probe), expected)

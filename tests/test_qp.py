@@ -9,7 +9,6 @@ from gbtwin.qp import (
     DEFAULT_TOL,
     BoxQP,
     NumericalError,
-    box_qp_objective,
     kkt_residual,
     ridge_factorize,
     solve_box_qp,
@@ -97,15 +96,17 @@ class TestSolveSpd:
 
 class TestBoxQP:
     def test_interior_optimum(self):
-        sol = solve_box_qp(BoxQP(np.array([[2.0]]), 10.0))
+        Q = np.array([[2.0]])
+        sol = solve_box_qp(BoxQP(Q, 10.0))
         assert sol.alpha[0] == pytest.approx(0.5, abs=1e-10)
-        assert sol.objective_value == pytest.approx(0.25, abs=1e-10)
+        assert box_qp_value(Q, 10.0, sol.alpha) == pytest.approx(0.25, abs=1e-10)
         assert sol.converged
 
     def test_clipped_at_upper_bound(self):
-        sol = solve_box_qp(BoxQP(np.array([[0.05]]), 10.0))
+        Q = np.array([[0.05]])
+        sol = solve_box_qp(BoxQP(Q, 10.0))
         assert sol.alpha[0] == 10.0  # unconstrained optimum is 20
-        assert sol.objective_value == pytest.approx(7.5)
+        assert box_qp_value(Q, 10.0, sol.alpha) == pytest.approx(7.5)
 
     def test_two_dim_example(self):
         Q = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -113,15 +114,16 @@ class TestBoxQP:
         # linear-system solution of Q alpha = 1
         assert np.allclose(sol.alpha, np.linalg.solve(Q, np.ones(2)), atol=1e-9)
         assert np.allclose(sol.alpha, [1 / 3, 1 / 3], atol=1e-9)
-        assert abs(sol.objective_value - DENSE_GRID_2D_VALUE) <= 1e-4
+        assert abs(box_qp_value(Q, 10.0, sol.alpha) - DENSE_GRID_2D_VALUE) <= 1e-4
         live_alpha, live_val = dense_grid_box_qp(Q, 10.0, step=1e-2)
-        assert abs(sol.objective_value - live_val) <= 1e-3
+        assert abs(box_qp_value(Q, 10.0, sol.alpha) - live_val) <= 1e-3
         assert np.allclose(live_alpha, DENSE_GRID_2D_ARGMAX, atol=1e-2)
 
     def test_zero_diagonal_direction(self):
-        sol = solve_box_qp(BoxQP(np.zeros((1, 1)), 3.0))
+        Q = np.zeros((1, 1))
+        sol = solve_box_qp(BoxQP(Q, 3.0))
         assert sol.alpha[0] == 3.0
-        assert sol.objective_value == 3.0
+        assert box_qp_value(Q, 3.0, sol.alpha) == 3.0
 
     def test_monotone_ascent_across_sweeps(self):
         rng = np.random.default_rng(5)
@@ -129,8 +131,9 @@ class TestBoxQP:
         prev = -np.inf
         for sweeps in range(1, 12):
             sol = solve_box_qp(BoxQP(Q, 1.0), tol=1e-16, max_iter=sweeps)
-            assert sol.objective_value >= prev - 1e-12
-            prev = sol.objective_value
+            value = box_qp_value(Q, 1.0, sol.alpha)
+            assert value >= prev - 1e-12
+            prev = value
 
     def test_box_feasibility_exact(self):
         rng = np.random.default_rng(6)
@@ -147,7 +150,7 @@ class TestBoxQP:
             upper = (0.1, 1.0, 10.0)[i % 3]
             sol = solve_box_qp(BoxQP(Q, upper))
             _, best = enumerate_box_qp(Q, upper)
-            assert sol.objective_value == pytest.approx(best, abs=1e-8)
+            assert box_qp_value(Q, upper, sol.alpha) == pytest.approx(best, abs=1e-8)
             assert sol.kkt_residual <= 1e-6
 
     def test_matches_zoom_grid_oracle(self):
@@ -158,7 +161,7 @@ class TestBoxQP:
             upper = (0.1, 1.0, 10.0)[i % 3]
             sol = solve_box_qp(BoxQP(Q, upper))
             _, best = grid_box_qp(Q, upper)
-            assert abs(sol.objective_value - best) <= 1e-4
+            assert abs(box_qp_value(Q, upper, sol.alpha) - best) <= 1e-4
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(NumericalError, match="symmetric"):
@@ -201,7 +204,8 @@ class TestShrinkingAgainstReference:
         assert kkt_residual(q, ref_alpha) <= DEFAULT_TOL
         assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= upper)
         ref_value = box_qp_value(q.Q, upper, ref_alpha)
-        assert abs(sol.objective_value - ref_value) <= 1e-9 * max(1.0, abs(ref_value))
+        sol_value = box_qp_value(q.Q, upper, sol.alpha)
+        assert abs(sol_value - ref_value) <= 1e-9 * max(1.0, abs(ref_value))
 
     def test_full_rank_alphas_agree(self):
         # the optimum is unique; a tol-KKT point lies within sqrt(p) tol / lambda_min
