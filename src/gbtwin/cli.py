@@ -2,7 +2,8 @@
 
 Every stochastic subcommand demands an explicit ``--seed``; reports embed the
 fully resolved run configuration so a run can be replayed from its artifacts.
-Flags may also come from a ``key = value`` config file (flags win).
+Flags may also come from a ``key = value`` config file; its values pass
+through the same parsers as flags, and flags win.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -46,7 +47,7 @@ TWIN_VARIANTS = {
 }
 BASELINE_VARIANTS = {"rvfl": True, "rvfl-wodl": False}  # value: direct links
 ABLATION_VARIANTS = tuple(TWIN_VARIANTS)
-COMPARE_VARIANTS = ABLATION_VARIANTS + ("rvfl", "rvfl-wodl")
+COMPARE_VARIANTS = ABLATION_VARIANTS + tuple(BASELINE_VARIANTS)
 
 
 class UsageError(Exception):
@@ -64,7 +65,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if val in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"cannot parse boolean value {raw!r}")
+    raise argparse.ArgumentTypeError(f"cannot parse boolean value {raw!r}")
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -75,7 +76,22 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(v) for v in raw.split(",") if v.strip()]
 
 
-# flag name -> (parser for config-file strings, default, help)
+def _variant_names(raw: str) -> list[str]:
+    return [v.strip() for v in raw.split(",") if v.strip()]
+
+
+def _parse_variants(raw: str) -> str:
+    """Accept two or more distinct known names; keep the text the report records."""
+    names = _variant_names(raw)
+    unknown = sorted(set(names) - set(COMPARE_VARIANTS))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown variants {unknown}")
+    if len(names) < 2 or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError("need two or more distinct variant names")
+    return raw
+
+
+# flag name -> (parser of the flag's value, default, help)
 OPTIONS = {
     "data": (str, None, "input CSV path"),
     "data-dir": (str, None, "directory of input CSV files"),
@@ -85,7 +101,8 @@ OPTIONS = {
     "csv": (str, None, "optional flat CSV export path"),
     "seed": (int, None, "master seed (required for stochastic commands)"),
     "variant": (str, "ef-gbtsvm", "model variant name"),
-    "variants": (str, ",".join(COMPARE_VARIANTS), "comma-separated variant names"),
+    "variants": (_parse_variants, ",".join(COMPARE_VARIANTS),
+                 "comma-separated distinct variant names"),
     "eta": (float, 0.9, "granular-ball purity threshold in (0.5, 1]"),
     "d1": (float, 1.0, "penalty bound of the first dual"),
     "d2": (float, 1.0, "penalty bound of the second dual"),
@@ -95,7 +112,6 @@ OPTIONS = {
     "ridge": (float, 1e-3, "ridge for the RVFL baselines"),
     "folds": (int, 5, "cross-validation folds"),
     "ratio": (float, 0.7, "train fraction of the split"),
-    "noise-rate": (float, 0.0, "label noise rate in [0, 1]"),
     "has-header": (_parse_bool, False, "input CSV has a header row"),
     "label-column": (str, "last", "label column index or 'last'"),
     "positive-label": (str, "1", "token mapped to class +1"),
@@ -107,13 +123,11 @@ OPTIONS = {
     "grid-d": (_parse_float_list, None, "override penalty grid"),
     "grid-h": (_parse_int_list, None, "override hidden-node grid"),
     "grid-act": (_parse_int_list, None, "override activation grid"),
-    "q-alpha": (float, 3.031, "studentized-range constant for the critical difference"),
     "repeats": (int, 3, "timing repetitions per point"),
     "config": (str, None, "key = value config file; flags override it"),
 }
 
-BOOL_FLAGS = {"has-header"}
-
+# command -> offered options, required options and the --variant choices
 COMMANDS: dict[str, dict] = {
     "train": {
         "options": [
@@ -122,6 +136,7 @@ COMMANDS: dict[str, dict] = {
             "label-column", "positive-label", "config",
         ],
         "required": ["data", "out", "seed"],
+        "choices": {"variant": COMPARE_VARIANTS},
     },
     "predict": {
         "options": ["model", "data", "out", "has-header", "config"],
@@ -134,6 +149,7 @@ COMMANDS: dict[str, dict] = {
             "label-column", "positive-label", "config",
         ],
         "required": ["data", "out", "seed"],
+        "choices": {"variant": tuple(TWIN_VARIANTS)},
     },
     "noise-sweep": {
         "options": [
@@ -142,6 +158,7 @@ COMMANDS: dict[str, dict] = {
             "label-column", "positive-label", "config",
         ],
         "required": ["data", "out", "seed"],
+        "choices": {"variant": COMPARE_VARIANTS},
     },
     "gen-ndc": {
         "options": ["out", "seed", "n", "m", "clusters", "separability", "config"],
@@ -154,11 +171,12 @@ COMMANDS: dict[str, dict] = {
             "repeats", "config",
         ],
         "required": ["out", "seed"],
+        "choices": {"variant": tuple(TWIN_VARIANTS)},
     },
     "compare": {
         "options": [
             "data-dir", "out", "seed", "variants", "eta", "d1", "d2", "delta",
-            "hidden", "activation", "ridge", "ratio", "q-alpha", "has-header",
+            "hidden", "activation", "ridge", "ratio", "has-header",
             "label-column", "positive-label", "config",
         ],
         "required": ["data-dir", "out", "seed"],
@@ -176,71 +194,48 @@ COMMANDS: dict[str, dict] = {
 
 def build_parser() -> CliParser:
     parser = CliParser(prog="gbtwin", description=__doc__)
-    subs = parser.add_subparsers(dest="command", parser_class=CliParser)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
     for name, spec in COMMANDS.items():
         sub = subs.add_parser(name)
         for opt in spec["options"]:
-            flag = f"--{opt}"
-            dest = opt.replace("-", "_")
-            _, _, help_text = OPTIONS[opt]
-            if opt in BOOL_FLAGS:
-                sub.add_argument(flag, dest=dest, action="store_true", default=None,
-                                 help=help_text)
-            else:
-                sub.add_argument(flag, dest=dest, type=str, default=None,
-                                 help=help_text)
+            parse, default, help_text = OPTIONS[opt]
+            # a bare --has-header means yes; --has-header=no parses too
+            bare = {"nargs": "?", "const": True} if parse is _parse_bool else {}
+            sub.add_argument(
+                f"--{opt}", dest=opt, type=parse, default=default, help=help_text,
+                required=opt in spec["required"],
+                choices=spec.get("choices", {}).get(opt), **bare,
+            )
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values = {}
+def _with_config_flags(argv: list[str]) -> list[str]:
+    """Insert a ``--config`` file's ``key = value`` lines as ``--key=value`` flags.
+
+    They go before the user's flags, so argparse's last-wins rule lets a flag
+    override the file. Unknown keys and a nested ``config`` key are rejected.
+    """
+    pre = CliParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None or argv[0] not in COMMANDS:
+        return argv
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    flags = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise UsageError(f"config line {lineno} is not 'key = value': {line!r}")
-        key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
-    return values
-
-
-def resolve_options(args, command: str) -> dict:
-    """Merge flags over config-file values over defaults; reject unknown keys."""
-    spec = COMMANDS[command]
-    resolved = {}
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        for key in file_values:
-            if key not in spec["options"] or key == "config":
-                raise UsageError(f"unknown config key {key!r} for command {command}")
-    for opt in spec["options"]:
-        if opt == "config":
-            continue
-        parse, default, _ = OPTIONS[opt]
-        raw_flag = getattr(args, opt.replace("-", "_"))
-        if raw_flag is not None:
-            value = raw_flag if opt in BOOL_FLAGS else parse(raw_flag)
-        elif opt in file_values:
-            value = _parse_bool(file_values[opt]) if opt in BOOL_FLAGS else parse(
-                file_values[opt]
-            )
-        else:
-            value = default
-        resolved[opt] = value
-    for opt in spec["required"]:
-        if resolved.get(opt) is None:
-            raise UsageError(f"--{opt} is required for {command}")
-    return resolved
-
-
-def _run_config(command: str, opts: dict) -> dict:
-    return {"command": command, **{k: v for k, v in opts.items() if k != "config"}}
+        key, _, raw = (part.strip() for part in stripped.partition("="))
+        if key not in COMMANDS[argv[0]]["options"] or key == "config":
+            raise UsageError(f"unknown config key {key!r} for command {argv[0]}")
+        flags.append(f"--{key}={raw}")
+    return argv[:1] + flags + argv[1:]
 
 
 def _twin_config(opts: dict, variant: str, seed: int) -> md.ModelConfig:
@@ -259,9 +254,6 @@ def _twin_config(opts: dict, variant: str, seed: int) -> md.ModelConfig:
 
 
 def _fit_variant(variant: str, opts: dict, train, seed: int, normalization=None):
-    if variant in TWIN_VARIANTS:
-        cfg = _twin_config(opts, variant, seed)
-        return md.fit(cfg, train, normalization=normalization)
     if variant in BASELINE_VARIANTS:
         return md.fit_rvfl_baseline(
             h=opts["hidden"],
@@ -272,10 +264,7 @@ def _fit_variant(variant: str, opts: dict, train, seed: int, normalization=None)
             direct_links=BASELINE_VARIANTS[variant],
             normalization=normalization,
         )
-    raise UsageError(
-        f"unknown variant {variant!r}; choose from "
-        f"{sorted(TWIN_VARIANTS) + sorted(BASELINE_VARIANTS)}"
-    )
+    return md.fit(_twin_config(opts, variant, seed), train, normalization=normalization)
 
 
 def _load_dataset(path, opts: dict):
@@ -296,6 +285,11 @@ def _normalized_split(data, opts: dict, seed: int):
 
 def _report_path(opts: dict) -> str:
     return opts["report"] or f"{opts['out']}.report.json"
+
+
+def _write_report(opts: dict, path, fields: dict) -> None:
+    """Write a report headed by the command and its resolved run_config."""
+    ev.emit_report({"command": opts["command"], "run_config": opts, **fields}, path)
 
 
 def _write_table(path, columns, records) -> None:
@@ -322,15 +316,13 @@ def cmd_train(opts: dict) -> int:
     md.save_model(mdl, opts["out"])
     metrics = ev.compute_metrics(data.labels, md.predict(mdl, data.features))
     report = {
-        "command": "train",
-        "run_config": _run_config("train", opts),
         "variant": opts["variant"],
         "train_metrics": asdict(metrics),
         "timings": {"fit_seconds": fit_seconds},
     }
     if isinstance(mdl, md.TwinModel):
         report["diagnostics"] = md.serialize(mdl)["diagnostics"]
-    ev.emit_report(report, _report_path(opts))
+    _write_report(opts, _report_path(opts), report)
     print(f"trained {opts['variant']}: train acc {metrics.acc:.4f}, "
           f"model -> {opts['out']}")
     return 0
@@ -358,8 +350,6 @@ def cmd_gen_ndc(opts: dict) -> int:
 
 def cmd_gridsearch(opts: dict) -> int:
     variant = opts["variant"]
-    if variant not in TWIN_VARIANTS:
-        raise UsageError("gridsearch supports the twin variants only")
     data = _load_dataset(opts["data"], opts)
     train, test = _normalized_split(data, opts, opts["seed"])
 
@@ -385,15 +375,12 @@ def cmd_gridsearch(opts: dict) -> int:
     )
     final = md.fit(best_cfg, train)
     metrics = ev.compute_metrics(test.labels, md.predict(final, test.features))
-    report = {
-        "command": "gridsearch",
-        "run_config": _run_config("gridsearch", opts),
+    _write_report(opts, opts["out"], {
         "variant": variant,
         "best_config": asdict(best_cfg),
         "cv_table": table,
         "test_metrics": asdict(metrics),
-    }
-    ev.emit_report(report, opts["out"])
+    })
     if opts["csv"]:
         _write_table(
             opts["csv"], ["d", "h", "activation", "mean_acc", "skipped_folds"], table
@@ -413,13 +400,7 @@ def cmd_noise_sweep(opts: dict) -> int:
         acc = ev.compute_metrics(test.labels, md.predict(mdl, test.features)).acc
         rows.append({"rate": rate, "accuracy": acc})
     _write_table(opts["out"], ["rate", "accuracy"], rows)
-    report = {
-        "command": "noise-sweep",
-        "run_config": _run_config("noise-sweep", opts),
-        "variant": opts["variant"],
-        "sweep": rows,
-    }
-    ev.emit_report(report, _report_path(opts))
+    _write_report(opts, _report_path(opts), {"variant": opts["variant"], "sweep": rows})
     summary = ", ".join(f"{r['rate']:.0%}:{r['accuracy']:.3f}" for r in rows)
     print(f"noise sweep {opts['variant']}: {summary}")
     return 0
@@ -427,8 +408,6 @@ def cmd_noise_sweep(opts: dict) -> int:
 
 def cmd_scale_bench(opts: dict) -> int:
     variant = opts["variant"]
-    if variant not in TWIN_VARIANTS:
-        raise UsageError("scale-bench supports the twin variants only")
     datasets = [
         generate_ndc(n, opts["m"], opts["clusters"], opts["separability"],
                      derive_seed(opts["seed"], i))
@@ -441,12 +420,7 @@ def cmd_scale_bench(opts: dict) -> int:
                     if v == (False, cfg.feature_space)][0]
         raw_cfg = replace(cfg, granulate=False)
         tables[raw_name] = ev.benchmark_fit(raw_cfg, datasets, repeats=opts["repeats"])
-    report = {
-        "command": "scale-bench",
-        "run_config": _run_config("scale-bench", opts),
-        "tables": tables,
-    }
-    ev.emit_report(report, opts["out"])
+    _write_report(opts, opts["out"], {"tables": tables})
     if opts["csv"]:
         _write_table(
             opts["csv"],
@@ -461,10 +435,7 @@ def cmd_scale_bench(opts: dict) -> int:
 
 
 def cmd_compare(opts: dict) -> int:
-    variants = [v.strip() for v in opts["variants"].split(",") if v.strip()]
-    for v in variants:
-        if v not in TWIN_VARIANTS and v not in BASELINE_VARIANTS:
-            raise UsageError(f"unknown variant {v!r}")
+    variants = _variant_names(opts["variants"])
     paths = sorted(Path(opts["data-dir"]).glob("*.csv"))
     if not paths:
         raise DataError(f"no CSV files in {opts['data-dir']}")
@@ -480,21 +451,18 @@ def cmd_compare(opts: dict) -> int:
             )
         matrix.append(row)
     rt = ev.rank_models(np.asarray(matrix))
+    q_alpha = ev.NEMENYI_Q05[len(variants)]
     report = {
-        "command": "compare",
-        "run_config": _run_config("compare", opts),
         "datasets": [p.name for p in paths],
         "variants": variants,
         "accuracy_matrix": matrix,
         "avg_ranks": [float(r) for r in rt.avg_ranks],
-        "nemenyi_cd": float(
-            ev.nemenyi_cd(len(variants), len(paths), opts["q-alpha"])
-        ),
+        "nemenyi_cd": float(ev.nemenyi_cd(len(variants), len(paths), q_alpha)),
     }
     if len(paths) >= 2:
         fr = ev.friedman_test(rt)
         report["friedman"] = {"chi2": fr.chi2, "ff": fr.ff, "dof": list(fr.dof)}
-    ev.emit_report(report, opts["out"])
+    _write_report(opts, opts["out"], report)
     order = np.argsort(rt.avg_ranks)
     ranking = ", ".join(f"{variants[j]}={rt.avg_ranks[j]:.2f}" for j in order)
     print(f"compare over {len(paths)} datasets, avg ranks: {ranking}")
@@ -509,12 +477,7 @@ def cmd_ablate(opts: dict) -> int:
         mdl = _fit_variant(variant, opts, train, opts["seed"])
         metrics = ev.compute_metrics(test.labels, md.predict(mdl, test.features))
         rows.append({"variant": variant, **asdict(metrics)})
-    report = {
-        "command": "ablate",
-        "run_config": _run_config("ablate", opts),
-        "rows": rows,
-    }
-    ev.emit_report(report, opts["out"])
+    _write_report(opts, opts["out"], {"rows": rows})
     for row in rows:
         print(f"{row['variant']:>10s}: acc {row['acc']:.4f}")
     return 0
@@ -533,13 +496,11 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            raise UsageError("missing subcommand")
-        opts = resolve_options(args, args.command)
-        return HANDLERS[args.command](opts)
+        opts = vars(build_parser().parse_args(_with_config_flags(argv)))
+        del opts["config"]  # the run_config holds the values the file supplied
+        return HANDLERS[opts["command"]](opts)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -145,7 +145,11 @@ def load_csv(
 
 
 def load_features_csv(path, has_header: bool = False) -> np.ndarray:
-    """Read an unlabeled feature matrix (all columns numeric)."""
+    """Read an unlabeled feature matrix (all columns numeric).
+
+    ``nan`` and ``inf`` tokens are read as such: ``model.predict`` is the one
+    place that rejects non-finite rows.
+    """
     rows, line_numbers = _read_rows(path, has_header)
     feats = np.empty((len(rows), len(rows[0])))
     for i, (row, lineno) in enumerate(zip(rows, line_numbers)):
@@ -173,7 +177,8 @@ def scale_minmax(X, lo, hi) -> np.ndarray:
     """Map columns from [lo, hi] to [0, 1]; a column with hi <= lo is only shifted."""
     span = hi - lo
     safe = np.where(span > 0, span, 1.0)
-    return (X - lo) / safe
+    with np.errstate(over="ignore"):  # overflow gives inf; callers check finiteness
+        return (X - lo) / safe
 
 
 def normalize_minmax(d: Dataset, ranges=None) -> Dataset:

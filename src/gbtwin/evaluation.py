@@ -107,6 +107,10 @@ def friedman_test(rt: RankTable) -> FriedmanResult:
     return FriedmanResult(chi2=chi2, ff=float(ff), dof=(q - 1, (P - 1) * (q - 1)))
 
 
+# Nemenyi q_alpha at alpha = 0.05 by model count (Demsar 2006, Table 5a)
+NEMENYI_Q05 = {2: 1.960, 3: 2.343, 4: 2.569, 5: 2.728, 6: 2.850, 7: 2.949, 8: 3.031}
+
+
 def nemenyi_cd(q: int, P: int, q_alpha: float) -> float:
     """Critical average-rank difference q_alpha * sqrt(q(q+1) / (6P))."""
     if q < 2 or P < 1:

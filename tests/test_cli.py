@@ -2,15 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gbtwin
-from gbtwin.cli import main
+from gbtwin.cli import COMMANDS, HANDLERS, OPTIONS, main
 from gbtwin.dataset import generate_ndc, write_csv
-from gbtwin.evaluation import read_report
+from gbtwin.evaluation import nemenyi_cd, read_report
 from gbtwin.model import load_model, predict
 
 
@@ -82,7 +83,6 @@ class TestTrainPredict:
                    "--out", tmp_path / "y.csv") == 2
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("variant", ["tsvm", "hf-tsvm", "ef-tsvm", "rvfl"])
     def test_predict_overflowing_row_is_data_error(self, tmp_path, capsys, variant):
         # a finite raw row that the stored ranges scale past the float range
@@ -93,8 +93,10 @@ class TestTrainPredict:
                    "--activation", 2, "--out", model) == 0
         bad = tmp_path / "bad.csv"
         bad.write_text(",".join(["1.7e308"] * 5) + "\n")
-        assert run("predict", "--model", model, "--data", bad,
-                   "--out", tmp_path / "y.csv") == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("predict", "--model", model, "--data", bad,
+                       "--out", tmp_path / "y.csv") == 2
         assert "data error" in capsys.readouterr().err
 
     def test_train_single_class_is_data_error(self, tmp_path):
@@ -138,6 +140,13 @@ class TestUsageErrors:
         assert run("train", "--variant", "megasvm", "--data", blob_csv,
                    "--seed", 1, "--out", tmp_path / "m.json") == 1
 
+    @pytest.mark.parametrize("variants", ["tsvm,tsvm", "tsvm", "tsvm,megasvm"])
+    def test_variants_must_be_two_distinct_known_names(self, tmp_path, blob_csv, variants):
+        out = tmp_path / "compare.json"
+        assert run("compare", "--data-dir", blob_csv.parent, "--seed", 1,
+                   "--variants", variants, "--out", out) == 1
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("train", "--variant", "tsvm", "--data", tmp_path / "nope.csv",
                    "--seed", 1, "--out", tmp_path / "m.json") == 2
@@ -160,6 +169,68 @@ class TestConfigFile:
         cfg.write_text("seed = 5\nwarp_factor = 9\n")
         assert run("train", "--data", blob_csv, "--out", tmp_path / "m.json",
                    "--config", cfg) == 1
+
+    @pytest.mark.parametrize("line", ["config = other.cfg", "seed = abc"])
+    def test_nested_config_and_bad_value_rejected(self, tmp_path, blob_csv, line):
+        # a file value is parsed even where a flag overrides it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"variant = tsvm\n{line}\n")
+        assert run("train", "--data", blob_csv, "--seed", 5, "--out", tmp_path / "m.json",
+                   "--config", cfg) == 1
+
+    def test_file_values_take_the_flag_parsers(self, tmp_path):
+        data = tmp_path / "headed.csv"
+        write_csv(generate_ndc(60, 2, 2, 5.0, seed=3), data)
+        data.write_text("x1,x2,y\n" + data.read_text())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("has-header = yes\nlabel-column = -1\nvariant = tsvm\n")
+        model = tmp_path / "m.json"
+        assert run("train", "--data", data, "--seed", 1, "--out", model,
+                   "--config", cfg) == 0
+        rc = read_report(f"{model}.report.json")["run_config"]
+        assert rc["has-header"] is True and rc["label-column"] == "-1"
+
+    def test_run_config_golden(self, tmp_path, blob_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nd2 = 0.5\nhas-header = no\n")
+        model = tmp_path / "m.json"
+        assert run("train", "--data", blob_csv, "--out", model, "--variant", "tsvm",
+                   "--config", cfg) == 0
+        rc = read_report(f"{model}.report.json")["run_config"]
+        expected = {
+            "command": "train",
+            "data": str(blob_csv),
+            "out": str(model),
+            "report": None,
+            "seed": 5,
+            "variant": "tsvm",
+            "eta": 0.9,
+            "d1": 1.0,
+            "d2": 0.5,
+            "delta": 1e-05,
+            "hidden": 103,
+            "activation": 3,
+            "ridge": 0.001,
+            "has-header": False,
+            "label-column": "last",
+            "positive-label": "1",
+        }
+        # JSON text tells 1.0 from 1 and false from 0
+        assert json.dumps(rc, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+class TestOptionTables:
+    def test_every_option_is_offered_and_declared(self):
+        offered = {opt for spec in COMMANDS.values() for opt in spec["options"]}
+        assert offered == set(OPTIONS)
+        assert set(HANDLERS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: gbtwin {command}" in capsys.readouterr().out
 
 
 class TestExperimentCommands:
@@ -205,7 +276,10 @@ class TestExperimentCommands:
         report = read_report(out)
         assert np.asarray(report["accuracy_matrix"]).shape == (3, 3)
         assert len(report["avg_ranks"]) == 3
-        assert "friedman" in report and "nemenyi_cd" in report
+        assert "friedman" in report
+        # Demsar's q_0.05 for 3 models, not the 8-model 3.031
+        assert report["nemenyi_cd"] == pytest.approx(nemenyi_cd(3, 3, 2.343), abs=1e-12)
+        assert "q-alpha" not in report["run_config"]
 
     def test_scale_bench_smoke(self, tmp_path):
         out = tmp_path / "bench.json"

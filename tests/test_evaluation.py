@@ -11,6 +11,7 @@ from gbtwin.evaluation import (
     ACTIVATION_GRID,
     D_GRID,
     H_GRID,
+    NEMENYI_Q05,
     RankTable,
     benchmark_fit,
     compute_metrics,
@@ -163,6 +164,15 @@ class TestNemenyi:
         assert nemenyi_cd(9, 32, 3.031) > nemenyi_cd(8, 32, 3.031)
         assert nemenyi_cd(8, 32, 3.2) > nemenyi_cd(8, 32, 3.031)
         assert nemenyi_cd(8, 64, 3.031) < nemenyi_cd(8, 32, 3.031)
+
+    def test_q_table_matches_studentized_range(self):
+        # Demsar's q_alpha is the studentized range quantile (infinite df) over sqrt 2
+        from scipy.stats import studentized_range
+
+        assert sorted(NEMENYI_Q05) == list(range(2, 9))
+        for k, q in NEMENYI_Q05.items():
+            exact = studentized_range.ppf(0.95, k, np.inf) / math.sqrt(2)
+            assert q == pytest.approx(exact, abs=1e-3)
 
 
 class TestGridSearch:
