@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, kfold_indices, split_train_test
+from .dataset import DataError, Dataset, kfold_indices, split_train_test
 from .model import ModelConfig, ball_centers, fit, predict
 from .seeding import derive_seed
 
@@ -198,7 +198,7 @@ def grid_search_cv(
     ]
     scored = [r for r in table if not np.isnan(r["mean_acc"])]
     if not scored:
-        raise ValueError("every grid combination was skipped; dataset too degenerate")
+        raise DataError("every grid combination was skipped; dataset too degenerate")
     best = min(scored, key=lambda r: (-r["mean_acc"], r["d"], r["h"], r["activation"]))
     best_cfg = replace(
         template,

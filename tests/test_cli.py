@@ -106,6 +106,20 @@ class TestTrainPredict:
                    "--seed", 1, "--out", tmp_path / "m.json")
         assert code == 2
 
+    def test_gridsearch_with_every_combination_skipped_is_data_error(self, tmp_path, capsys):
+        # with seed 2 the held-out split takes the only -1 row, so every
+        # CV-training part is single-class and every combination is skipped
+        rows = np.random.default_rng(0).normal(size=(21, 3))
+        path = tmp_path / "one_negative.csv"
+        path.write_text("".join(
+            ",".join(repr(float(v)) for v in row) + (",-1\n" if i == 5 else ",1\n")
+            for i, row in enumerate(rows)
+        ))
+        code = run("gridsearch", "--variant", "tsvm", "--folds", 2, "--seed", 2,
+                   "--data", path, "--out", tmp_path / "g.json")
+        assert code == 2
+        assert "data error: every grid combination was skipped" in capsys.readouterr().err
+
     def test_rvfl_variant_trains(self, tmp_path, blob_csv):
         model = tmp_path / "rvfl.json"
         assert run("train", "--variant", "rvfl", "--data", blob_csv,

@@ -1,10 +1,18 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbtwin.dataset import DataError, Dataset, load_features_csv, split_train_test
+from gbtwin.dataset import (
+    DataError,
+    Dataset,
+    generate_ndc,
+    load_features_csv,
+    normalize_minmax,
+    split_train_test,
+)
 from gbtwin.features import init_random_layer
 from gbtwin.model import (
     FitDiagnostics,
@@ -129,6 +137,20 @@ class TestFit:
         mdl = fit(plain_config(), d, qp_tol=1e-15, qp_max_iter=1)
         assert not mdl.diagnostics.converged
         assert mdl.diagnostics.notes
+
+    def test_raw_fit_holds_one_dual_matrix(self):
+        # the dual over the larger class is k x k; BoxQP symmetrizes it in place
+        d = normalize_minmax(
+            generate_ndc(n=3000, m=8, n_clusters=2, separability=5.0, seed=5)
+        )
+        k = max(int(np.sum(d.labels > 0)), int(np.sum(d.labels < 0)))
+        tracemalloc.start()
+        try:
+            fit(plain_config(seed=1), d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * k**2
 
 
 class TestDecisionValues:

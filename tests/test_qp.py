@@ -247,11 +247,13 @@ class TestBlockedValidation:
     def test_stored_q_is_the_symmetrized_input(self):
         Q = self.symmetric(2)
         Q += 1e-12 * np.random.default_rng(3).normal(size=Q.shape)  # within tolerance
+        expected = (Q + Q.T) / 2.0
         stored = BoxQP(Q, 1.0).Q
-        assert np.array_equal(stored, (Q + Q.T) / 2.0)
+        assert np.array_equal(stored, expected)
         assert stored.flags.c_contiguous and not stored.flags.writeable
 
     def test_peak_memory_stays_near_one_copy(self):
+        # Q is symmetrized in place; only two scratch tiles are allocated
         A = np.random.default_rng(4).normal(size=(1300, 5))
         Q = A @ A.T
         tracemalloc.start()
@@ -260,7 +262,57 @@ class TestBlockedValidation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * Q.nbytes
+        assert peak <= 0.1 * Q.nbytes
+
+
+class TestOwnership:
+    """BoxQP takes over a writable C-ordered float64 Q and copies anything else."""
+
+    def asymmetric(self):
+        # within tolerance, so symmetrizing changes bits
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(_TILE + 9, 4))
+        return A @ A.T + 1e-12 * rng.normal(size=(_TILE + 9, _TILE + 9))
+
+    def test_writable_c_float64_is_symmetrized_in_place(self):
+        Q = self.asymmetric()
+        expected = (Q + Q.T) / 2.0
+        q = BoxQP(Q, 1.0)
+        assert np.shares_memory(q.Q, Q)
+        assert np.array_equal(Q, expected)
+        assert not Q.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["read-only", "int", "fortran"])
+    def test_other_arrays_are_copied_untouched(self, kind):
+        Q = self.asymmetric()
+        if kind == "read-only":
+            Q.setflags(write=False)
+        elif kind == "int":
+            Q = np.rint(1e3 * Q).astype(np.int64)  # symmetric: the noise rounds away
+        else:
+            Q = np.asfortranarray(Q)
+        before = Q.copy()
+        writeable = Q.flags.writeable
+        q = BoxQP(Q, 1.0)
+        assert not np.shares_memory(q.Q, Q)
+        assert np.array_equal(Q, before)
+        assert Q.flags.writeable == writeable
+        assert np.array_equal(q.Q, (before + before.T) / 2.0)
+
+    def test_list_is_copied_untouched(self):
+        Q = [[2.0, 1.0], [1.0 + 1e-12, 2.0]]
+        q = BoxQP(Q, 1.0)
+        assert Q == [[2.0, 1.0], [1.0 + 1e-12, 2.0]]
+        assert q.Q[0, 1] == q.Q[1, 0]
+
+    @pytest.mark.parametrize("upper", [0.0, -1.0])
+    def test_bad_upper_leaves_q_unchanged_and_writable(self, upper):
+        Q = self.asymmetric()
+        before = Q.copy()
+        with pytest.raises(ValueError, match="box bound"):
+            BoxQP(Q, upper)
+        assert np.array_equal(Q, before)
+        assert Q.flags.writeable
 
 
 class TestKktResidual:
