@@ -199,7 +199,7 @@ def split_train_test(d: Dataset, ratio: float, seed: int) -> SplitPair:
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     if d.n < 2:
-        raise ValueError("need at least 2 rows to split")
+        raise DataError("need at least 2 rows to split")
     n_train = math.floor(ratio * d.n)
     if n_train == 0 or n_train == d.n:
         raise ValueError(f"ratio {ratio} leaves an empty split for n={d.n}")

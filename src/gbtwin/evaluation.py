@@ -156,6 +156,8 @@ def grid_search_cv(
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    if train.n < folds:
+        raise DataError(f"{folds} folds need at least {folds} training rows, got {train.n}")
     cfgs = [
         replace(
             template,

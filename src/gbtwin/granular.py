@@ -69,14 +69,18 @@ def two_means(points, labels):
         raise ValueError("two_means needs at least 2 points")
     n = pts.shape[0]
     labs = np.asarray(labels, dtype=np.float64)
-    if not (np.any(labs > 0) and np.any(labs < 0)):
+    pos, neg = labs > 0, labs < 0
+    n_pos, n_neg = int(np.count_nonzero(pos)), int(np.count_nonzero(neg))
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("two_means needs labels of both classes")
-    c0 = pts[labs > 0].mean(axis=0)
-    c1 = pts[labs < 0].mean(axis=0)
+    # Every centroid sum is a 0/1 mask times pts, one matvec that copies no
+    # rows. Its rounding may differ from a row-by-row sum in the last bits.
+    c0 = (pos.astype(np.float64) @ pts) / n_pos
+    c1 = (neg.astype(np.float64) @ pts) / n_neg
 
     # With k = 2, x is nearer c1 than c0 exactly when
     # x . (c1 - c0) > (|c1|^2 - |c0|^2) / 2, so one matvec assigns every
-    # point; ties go to cluster 0. Centroids come from one masked sum.
+    # point; ties go to cluster 0.
     total = pts.sum(axis=0)
     assign = None
     for _ in range(LLOYD_MAX_ITER):
@@ -88,10 +92,16 @@ def two_means(points, labels):
         if assign is not None and np.array_equal(new, assign):
             break
         assign = new
-        s1 = pts[assign].sum(axis=0)
+        s1 = assign.astype(np.float64) @ pts
         c0 = (total - s1) / (n - n1)
         c1 = s1 / n1
     return np.flatnonzero(~assign), np.flatnonzero(assign)
+
+
+def _is_first_half(a: np.ndarray, n: int) -> bool:
+    """Whether the sorted, distinct indices ``a`` are the first of the
+    index-order halves ``two_means`` splits ``n`` points into."""
+    return a.size == (n + 1) // 2 and a[-1] == a.size - 1
 
 
 def generate_granular_balls(d: Dataset, eta: float) -> GranularBallSet:
@@ -110,25 +120,28 @@ def generate_granular_balls(d: Dataset, eta: float) -> GranularBallSet:
     while queue:
         idx = queue.popleft()
         members = labs[idx]
-        if idx.size > 1 and purity(members) < eta:
+        pur = purity(members)
+        if idx.size > 1 and pur < eta:
             block = feats[idx]
-            if np.all(block == block[0]):
-                warnings.warn(
-                    f"ball of {idx.size} identical rows with mixed labels "
-                    "finalized below the purity threshold",
-                    stacklevel=2,
-                )
-            else:
-                a, b = two_means(block, members)
+            a, b = two_means(block, members)
+            # Identical rows all land in one Lloyd cluster, so two_means
+            # returns its index-order halves for them; only then can the
+            # block be unsplittable.
+            if not (_is_first_half(a, idx.size) and np.all(block == block[0])):
                 queue.append(idx[a])
                 queue.append(idx[b])
                 continue
+            warnings.warn(
+                f"ball of {idx.size} identical rows with mixed labels "
+                "finalized below the purity threshold",
+                stacklevel=2,
+            )
         balls.append(
             GranularBall(
                 member_indices=idx,
                 center=feats[idx].mean(axis=0),
                 label=majority_label(members),
-                purity=purity(members),
+                purity=pur,
                 count=int(idx.size),
             )
         )

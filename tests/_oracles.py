@@ -1,14 +1,25 @@
 """Independent reference computations backing the test expectations.
 
 Everything here deliberately avoids the library's own solver paths: plain
-numpy linear algebra, exhaustive enumeration, dense grids, and an LP
-feasibility check. Slow is fine; independent is the point.
+numpy linear algebra, exhaustive enumeration, dense grids, an LP
+feasibility check, and a frozen copy of the earlier granulation. Slow is
+fine; independent is the point.
 """
 
 import itertools
+import warnings
+from collections import deque
 
 import numpy as np
 from scipy.optimize import linprog
+
+from gbtwin.granular import (
+    LLOYD_MAX_ITER,
+    GranularBall,
+    GranularBallSet,
+    majority_label,
+    purity,
+)
 
 
 def box_qp_value(Q, upper, alpha):
@@ -197,6 +208,81 @@ def lloyd_two_means_reference(X, c0, c1, max_iter=100):
         assign = new
         centroids = [X[assign == 0].mean(axis=0), X[assign == 1].mean(axis=0)]
     return assign, False
+
+
+def _two_means_reference(points, labels):
+    """The earlier two_means: boolean-index centroid sums, kept verbatim."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 2:
+        raise ValueError("two_means needs at least 2 points")
+    n = pts.shape[0]
+    labs = np.asarray(labels, dtype=np.float64)
+    if not (np.any(labs > 0) and np.any(labs < 0)):
+        raise ValueError("two_means needs labels of both classes")
+    c0 = pts[labs > 0].mean(axis=0)
+    c1 = pts[labs < 0].mean(axis=0)
+
+    # With k = 2, x is nearer c1 than c0 exactly when
+    # x . (c1 - c0) > (|c1|^2 - |c0|^2) / 2, so one matvec assigns every
+    # point; ties go to cluster 0. Centroids come from one masked sum.
+    total = pts.sum(axis=0)
+    assign = None
+    for _ in range(LLOYD_MAX_ITER):
+        new = pts @ (c1 - c0) > 0.5 * (c1 @ c1 - c0 @ c0)
+        n1 = int(np.count_nonzero(new))
+        if n1 == 0 or n1 == n:
+            cut = (n + 1) // 2
+            return np.arange(cut), np.arange(cut, n)
+        if assign is not None and np.array_equal(new, assign):
+            break
+        assign = new
+        s1 = pts[assign].sum(axis=0)
+        c0 = (total - s1) / (n - n1)
+        c1 = s1 / n1
+    return np.flatnonzero(~assign), np.flatnonzero(assign)
+
+
+def granulate_reference(d, eta):
+    """The earlier generate_granular_balls, kept verbatim.
+
+    It copies each Lloyd cluster to sum it and checks a block for identical
+    rows before every split; the library must return the same balls bit for
+    bit.
+    """
+    if not 0.5 < eta <= 1.0:
+        raise ValueError(f"purity threshold must be in (0.5, 1], got {eta}")
+    feats, labs = d.features, d.labels
+    balls: list[GranularBall] = []
+    queue: deque[np.ndarray] = deque([np.arange(d.n)])
+    while queue:
+        idx = queue.popleft()
+        members = labs[idx]
+        if idx.size > 1 and purity(members) < eta:
+            block = feats[idx]
+            if np.all(block == block[0]):
+                warnings.warn(
+                    f"ball of {idx.size} identical rows with mixed labels "
+                    "finalized below the purity threshold",
+                    stacklevel=2,
+                )
+            else:
+                a, b = _two_means_reference(block, members)
+                queue.append(idx[a])
+                queue.append(idx[b])
+                continue
+        balls.append(
+            GranularBall(
+                member_indices=idx,
+                center=feats[idx].mean(axis=0),
+                label=majority_label(members),
+                purity=purity(members),
+                count=int(idx.size),
+            )
+        )
+    return GranularBallSet(
+        balls=tuple(balls),
+        n=d.n,
+    )
 
 
 def linearly_separable(X, y):

@@ -120,6 +120,19 @@ class TestTrainPredict:
         assert code == 2
         assert "data error: every grid combination was skipped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        (["0.5,0.2,1"], "need at least 2 rows to split"),
+        (["0.5,0.2,1", "0.1,0.9,-1"], "2 folds need at least 2 training rows, got 1"),
+    ])
+    def test_gridsearch_on_too_few_rows_is_data_error(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "tiny.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code = run("gridsearch", "--variant", "tsvm", "--folds", 2, "--seed", 1,
+                   "--data", path, "--out", tmp_path / "g.json")
+        assert code == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "g.json").exists()
+
     def test_rvfl_variant_trains(self, tmp_path, blob_csv):
         model = tmp_path / "rvfl.json"
         assert run("train", "--variant", "rvfl", "--data", blob_csv,

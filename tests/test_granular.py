@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbtwin.dataset import Dataset, generate_ndc
+from gbtwin.dataset import Dataset, generate_ndc, inject_label_noise, normalize_minmax
 from gbtwin.granular import (
     GranularBallSet,
     centers_matrix,
@@ -11,7 +11,7 @@ from gbtwin.granular import (
     two_means,
 )
 
-from _oracles import lloyd_two_means_reference, min_sse_bipartition
+from _oracles import granulate_reference, lloyd_two_means_reference, min_sse_bipartition
 
 
 def random_dataset(seed, n=None, m=None):
@@ -182,6 +182,53 @@ class TestGenerate:
         assert a.k == b.k
         for x, y in zip(a.balls, b.balls):
             assert np.array_equal(x.member_indices, y.member_indices)
+
+
+def assert_same_balls(d, eta):
+    got = generate_granular_balls(d, eta)
+    ref = granulate_reference(d, eta)
+    assert (got.n, got.k) == (ref.n, ref.k)
+    for g, r in zip(got.balls, ref.balls):
+        assert np.array_equal(g.member_indices, r.member_indices)
+        assert g.center.tobytes() == r.center.tobytes()
+        assert (g.label, g.purity, g.count) == (r.label, r.purity, r.count)
+
+
+class TestMatchesReference:
+    """Matvec centroid sums leave every ball of the copying version unchanged."""
+
+    @pytest.fixture(scope="class")
+    def two_cluster(self):
+        return normalize_minmax(generate_ndc(3000, 32, 2, 5.0, seed=77))
+
+    @pytest.mark.parametrize("eta", [0.9, 1.0])
+    @pytest.mark.parametrize("rate", [0.1, 0.2])
+    def test_noisy_two_cluster(self, two_cluster, rate, eta):
+        assert_same_balls(inject_label_noise(two_cluster, rate, seed=7), eta)
+
+    def test_identical_mixed_label_block(self):
+        # 0.1 is inexact, so the block's two class means may differ in the
+        # last bits; its rows still all fall into one Lloyd cluster
+        rng = np.random.default_rng(3)
+        feats = np.vstack([rng.normal(size=(120, 4)), np.full((7, 4), 0.1)])
+        labs = np.concatenate([rng.choice([-1.0, 1.0], size=120),
+                               [1.0, 1.0, -1.0, -1.0, -1.0, -1.0, -1.0]])
+        with pytest.warns(UserWarning, match="7 identical rows") as record:
+            assert_same_balls(Dataset(feats, labs), 1.0)
+        assert sum("identical rows" in str(w.message) for w in record) == 2
+
+    def test_emptied_cluster_on_distinct_rows(self):
+        # rows come in +/- integer pairs that share a label, so both class
+        # means are exactly 0 in any summation order and Lloyd's first
+        # assignment empties a cluster of rows that are not all identical
+        rng = np.random.default_rng(4)
+        half = rng.integers(-5, 6, size=(60, 3)).astype(np.float64)
+        feats = np.empty((120, 3))
+        feats[0::2], feats[1::2] = half, -half
+        d = Dataset(feats, np.repeat(rng.choice([-1.0, 1.0], size=60), 2))
+        a, b = two_means(d.features, d.labels)
+        assert a.tolist() == list(range(60)) and b.tolist() == list(range(60, 120))
+        assert_same_balls(d, 1.0)
 
 
 class TestCentersMatrix:
