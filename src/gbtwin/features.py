@@ -12,7 +12,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import DataError
 
@@ -35,35 +34,53 @@ SPACES = ("original", "hidden", "enhanced")
 
 
 def activate(kind: int, x):
-    """Apply activation ``kind`` (1-9) elementwise.
+    """Apply activation ``kind`` (1-9) elementwise to a copy of ``x``.
 
     Conventions pinned here: hardlim(0) = 1, sign(0) = 0, leaky slope 0.01.
     """
     if kind not in ACTIVATION_NAMES:
         raise ValueError(f"activation index must be 1..9, got {kind}")
-    arr = np.asarray(x, dtype=np.float64)
-    if kind == 1:
-        neg = SELU_ALPHA * np.expm1(np.minimum(arr, 0.0))
-        out = SELU_LAMBDA * np.where(arr > 0.0, arr, neg)
-    elif kind == 2:
-        out = np.maximum(arr, 0.0)
-    elif kind == 3:
-        out = expit(arr)
-    elif kind == 4:
-        out = np.sin(arr)
-    elif kind == 5:
-        out = np.where(arr >= 0.0, 1.0, 0.0)
-    elif kind == 6:
-        out = np.maximum(0.0, 1.0 - np.abs(arr))
-    elif kind == 7:
-        out = np.exp(-(arr**2))
-    elif kind == 8:
-        out = np.sign(arr)
-    else:
-        out = np.where(arr > 0.0, arr, 0.01 * arr)
+    out = np.array(x, dtype=np.float64, ndmin=1)
+    _activate_in_place(kind, out)
     if np.ndim(x) == 0:
-        return float(out)
+        return float(out[0])
     return out
+
+
+def _activate_in_place(kind: int, z: np.ndarray) -> None:
+    """Overwrite the float64 array ``z`` with activation ``kind`` of itself."""
+    if kind == 1:
+        neg = np.minimum(z, 0.0)
+        np.expm1(neg, out=neg)
+        neg *= SELU_ALPHA
+        np.copyto(z, neg, where=~(z > 0.0))
+        z *= SELU_LAMBDA
+    elif kind == 2:
+        np.maximum(z, 0.0, out=z)
+    elif kind == 3:
+        # 1 / (1 + exp(-z)) through numpy's vectorized exp; exp(1000) = inf
+        # gives exactly 0, so the overflow is the intended result
+        np.negative(z, out=z)
+        with np.errstate(over="ignore", under="ignore"):
+            np.exp(z, out=z)
+        z += 1.0
+        np.reciprocal(z, out=z)
+    elif kind == 4:
+        np.sin(z, out=z)
+    elif kind == 5:
+        z[...] = z >= 0.0
+    elif kind == 6:
+        np.abs(z, out=z)
+        np.subtract(1.0, z, out=z)
+        np.maximum(0.0, z, out=z)
+    elif kind == 7:
+        np.square(z, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+    elif kind == 8:
+        np.sign(z, out=z)
+    else:
+        np.multiply(z, 0.01, out=z, where=z < 0.0)
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,9 @@ def hidden_features(layer: RandomLayer, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != layer.m:
         raise ValueError(f"expected {layer.m} feature columns, got {X.shape[1]}")
-    Z = activate(layer.activation, X @ layer.weights + layer.bias)
+    Z = X @ layer.weights
+    Z += layer.bias
+    _activate_in_place(layer.activation, Z)
     _check_finite(Z)
     return Z
 

@@ -10,7 +10,7 @@ nearer hyperplane measured in the same feature space the model was fit in.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -199,14 +199,20 @@ def _checked_input(mdl, X) -> np.ndarray:
 
 
 def _plane_distances(mdl: TwinModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized distances of raw rows to the two hyperplanes."""
+    """Normalized distances of raw rows to the two hyperplanes.
+
+    Both planes are scored in one product with the stacked normals; the
+    offsets are added after.
+    """
     mapped = _map_rows(mdl.config.feature_space, mdl.layer, _checked_input(mdl, X))
-    z = np.hstack([mapped, np.ones((mapped.shape[0], 1))])
-    d1 = np.abs(z @ mdl.u1) / np.linalg.norm(mdl.u1[:-1])
-    d2 = np.abs(z @ mdl.u2) / np.linalg.norm(mdl.u2[:-1])
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+    planes = np.column_stack([mdl.u1, mdl.u2])
+    dist = mapped @ planes[:-1]
+    dist += planes[-1]
+    np.abs(dist, out=dist)
+    dist /= np.linalg.norm(planes[:-1], axis=0)
+    if not np.all(np.isfinite(dist)):
         raise DataError("input rows overflow the distances to the hyperplanes")
-    return d1, d2
+    return dist[:, 0], dist[:, 1]
 
 
 def decision_values(mdl: TwinModel, x) -> tuple[float, float]:
@@ -321,50 +327,96 @@ def serialize(mdl) -> dict:
     }
 
 
+def _require(doc: dict, keys, where: str) -> None:
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{where} is missing the {key!r} field")
+
+
+def _record(cls, values: dict, where: str):
+    """``cls(**values)`` once every field without a default is present."""
+    _require(values, [f.name for f in fields(cls) if f.default is MISSING
+                      and f.default_factory is MISSING], where)
+    return cls(**values)
+
+
+def _vector(doc: dict, key: str, length: int) -> np.ndarray:
+    vec = np.asarray(doc[key], dtype=np.float64)
+    if vec.shape != (length,):
+        raise ValueError(
+            f"model field {key!r} must hold {length} numbers, got shape {vec.shape}"
+        )
+    return vec
+
+
+def _space_width(space: str, m: int, layer: ft.RandomLayer | None) -> int:
+    if space == "original":
+        return m
+    return layer.h + (m if space == "enhanced" else 0)
+
+
+def _layer_field(doc: dict, m: int) -> ft.RandomLayer | None:
+    if doc["layer"] is None:
+        return None
+    _require(doc["layer"], ("seed", "m", "h", "activation", "checksum"), "model layer")
+    layer = ft.layer_from_meta(doc["layer"])
+    if layer.m != m:
+        raise ValueError(f"random layer takes m = {layer.m} inputs, model has m = {m}")
+    return layer
+
+
 def deserialize(doc: dict):
+    """Model from its document; a missing or mis-sized field is a ValueError."""
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported model schema version {version!r}, "
             f"expected {MODEL_SCHEMA_VERSION}"
         )
+    kind = doc.get("kind")
+    if kind not in ("twin", "rvfl"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    if kind == "rvfl":
+        _require(doc, ("m", "direct_links", "ridge", "layer", "weights"), "model document")
+    else:
+        _require(doc, ("m", "config", "layer", "u1", "u2", "diagnostics"), "model document")
+    m = int(doc["m"])
+    layer = _layer_field(doc, m)
     norm = doc.get("normalization")
     norm_arrays = None
     if norm is not None:
-        norm_arrays = (
-            np.asarray(norm["lo"], dtype=np.float64),
-            np.asarray(norm["hi"], dtype=np.float64),
-        )
-    if doc.get("kind") == "rvfl":
+        _require(norm, ("lo", "hi"), "model normalization")
+        norm_arrays = (_vector(norm, "lo", m), _vector(norm, "hi", m))
+    if kind == "rvfl":
+        if layer is None:
+            raise ValueError("rvfl model is missing its random layer")
+        direct_links = bool(doc["direct_links"])
+        width = _space_width(_rvfl_space(direct_links), m, layer)
         return RVFLModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            m=int(doc["m"]),
-            layer=ft.layer_from_meta(doc["layer"]),
-            direct_links=bool(doc["direct_links"]),
+            weights=_vector(doc, "weights", width),
+            m=m,
+            layer=layer,
+            direct_links=direct_links,
             ridge=float(doc["ridge"]),
             normalization=norm_arrays,
         )
-    if doc.get("kind") != "twin":
-        raise ValueError(f"unknown model kind {doc.get('kind')!r}")
-    cfg = ModelConfig(**doc["config"])
-    layer = None
-    if doc["layer"] is not None:
-        layer = ft.layer_from_meta(doc["layer"])
+    cfg = _record(ModelConfig, doc["config"], "model config")
     if cfg.feature_space != "original" and layer is None:
         raise ValueError(
             f"model in {cfg.feature_space!r} space is missing its random layer"
         )
     dd = dict(doc["diagnostics"])
     for key in ("dual_iterations", "dual_residuals"):
-        dd[key] = tuple(dd[key])
-    diag = FitDiagnostics(**dd)
+        if key in dd:
+            dd[key] = tuple(dd[key])
+    width = _space_width(cfg.feature_space, m, layer) + 1
     return TwinModel(
-        u1=np.asarray(doc["u1"], dtype=np.float64),
-        u2=np.asarray(doc["u2"], dtype=np.float64),
-        m=int(doc["m"]),
+        u1=_vector(doc, "u1", width),
+        u2=_vector(doc, "u2", width),
+        m=m,
         layer=layer,
         config=cfg,
-        diagnostics=diag,
+        diagnostics=_record(FitDiagnostics, dd, "model diagnostics"),
         normalization=norm_arrays,
     )
 

@@ -12,7 +12,10 @@ from collections import deque
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import expit
 
+from gbtwin import model as md
+from gbtwin.features import ACTIVATION_NAMES, SELU_ALPHA, SELU_LAMBDA
 from gbtwin.granular import (
     LLOYD_MAX_ITER,
     GranularBall,
@@ -346,3 +349,50 @@ def average_ranks_reference(scores):
             i = j + 1
         out[r] = ranks
     return out, out.mean(axis=0)
+
+
+def activate_reference(kind, x):
+    """The earlier activate, kept verbatim: sigmoid through scipy's expit.
+
+    Every kind but sigmoid must match it bit for bit.
+    """
+    if kind not in ACTIVATION_NAMES:
+        raise ValueError(f"activation index must be 1..9, got {kind}")
+    arr = np.asarray(x, dtype=np.float64)
+    if kind == 1:
+        neg = SELU_ALPHA * np.expm1(np.minimum(arr, 0.0))
+        out = SELU_LAMBDA * np.where(arr > 0.0, arr, neg)
+    elif kind == 2:
+        out = np.maximum(arr, 0.0)
+    elif kind == 3:
+        out = expit(arr)
+    elif kind == 4:
+        out = np.sin(arr)
+    elif kind == 5:
+        out = np.where(arr >= 0.0, 1.0, 0.0)
+    elif kind == 6:
+        out = np.maximum(0.0, 1.0 - np.abs(arr))
+    elif kind == 7:
+        out = np.exp(-(arr**2))
+    elif kind == 8:
+        out = np.sign(arr)
+    else:
+        out = np.where(arr > 0.0, arr, 0.01 * arr)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def plane_distances_reference(mdl, X):
+    """The earlier plane scoring: a ones column and one matvec per plane.
+
+    Also returns, per row and plane, sum |w_i z_i| + |b| over |w|: the size of
+    the terms whose sum is the distance, which bounds its rounding error.
+    """
+    mapped = md._map_rows(mdl.config.feature_space, mdl.layer, md._checked_input(mdl, X))
+    z = np.hstack([mapped, np.ones((mapped.shape[0], 1))])
+    d1 = np.abs(z @ mdl.u1) / np.linalg.norm(mdl.u1[:-1])
+    d2 = np.abs(z @ mdl.u2) / np.linalg.norm(mdl.u2[:-1])
+    terms = np.column_stack([np.abs(z) @ np.abs(u) / np.linalg.norm(u[:-1])
+                             for u in (mdl.u1, mdl.u2)])
+    return d1, d2, terms

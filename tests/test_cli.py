@@ -141,6 +141,40 @@ class TestTrainPredict:
         assert doc["kind"] == "rvfl"
 
 
+class TestBrokenModelDocuments:
+    """A malformed model document is one usage-error line, not a traceback."""
+
+    @pytest.fixture
+    def model_doc(self, tmp_path, blob_csv):
+        model = tmp_path / "model.json"
+        assert run("train", "--variant", "ef-gbtsvm", "--data", blob_csv,
+                   "--seed", 1, "--out", model) == 0
+        return json.loads(model.read_text())
+
+    def predict_with(self, tmp_path, doc, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        feats = tmp_path / "feats.csv"
+        np.savetxt(feats, generate_ndc(20, 3, 2, 5.0, seed=22).features, delimiter=",")
+        capsys.readouterr()
+        code = run("predict", "--model", broken, "--data", feats,
+                   "--out", tmp_path / "y.csv")
+        return code, capsys.readouterr().err
+
+    def test_missing_u1(self, tmp_path, model_doc, capsys):
+        del model_doc["u1"]
+        code, err = self.predict_with(tmp_path, model_doc, capsys)
+        assert code == 1
+        assert err.splitlines() == ["usage error: model document is missing the 'u1' field"]
+
+    def test_u1_one_entry_short(self, tmp_path, model_doc, capsys):
+        model_doc["u1"] = model_doc["u1"][:-1]
+        code, err = self.predict_with(tmp_path, model_doc, capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: model field 'u1' must hold")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from gbtwin.dataset import DataError
 from gbtwin.features import (
@@ -16,6 +18,8 @@ from gbtwin.features import (
     layer_from_meta,
     layer_meta,
 )
+
+from _oracles import activate_reference
 
 
 class TestActivate:
@@ -57,6 +61,68 @@ class TestActivate:
     def test_vectorized(self):
         out = activate(2, np.array([-1.0, 0.5]))
         assert out.tolist() == [0.0, 0.5]
+
+
+EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def sample_values():
+    rng = np.random.default_rng(4)
+    return np.concatenate([
+        rng.normal(scale=3.0, size=20000),
+        rng.uniform(-40.0, 40.0, size=20000),
+        rng.uniform(-800.0, 800.0, size=2000),
+        EDGES,
+    ])
+
+
+class TestActivateMatchesReference:
+    """Each activation runs in place; only sigmoid may leave the earlier bits."""
+
+    @pytest.mark.parametrize("kind", [1, 2, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bit_equal(self, kind):
+        x = sample_values()
+        grid = x[: 200 * 201].reshape(200, 201)
+        for values in (x, grid, *EDGES):
+            got, want = activate(kind, values), activate_reference(kind, values)
+            assert np.array_equal(bits(got), bits(want)), values
+
+    def test_sigmoid_within_8_ulp_of_expit(self):
+        x = sample_values()
+        got, want = activate(3, x), expit(x)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.all(np.abs(got[ok] - want[ok]) <= 8 * np.spacing(want[ok]))
+
+    def test_sigmoid_exact_points_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert activate(3, 0.0) == 0.5
+            assert activate(3, -1000.0) == 0.0
+            assert activate(3, 1000.0) == 1.0
+            out = activate(3, np.array([0.0, -1000.0, 1000.0]))
+        assert out.tolist() == [0.5, 0.0, 1.0]
+
+    @pytest.mark.parametrize("kind", range(1, 10))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_input_left_unchanged(self, kind):
+        x = sample_values()
+        before = x.copy()
+        activate(kind, x)
+        activate(kind, x[::3])
+        assert np.array_equal(bits(x), bits(before))
+
+    def test_hidden_sigmoid_saturates_to_zero_without_warning(self):
+        layer = RandomLayer(weights=np.ones((2, 3)), bias=np.zeros(3), activation=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            Z = hidden_features(layer, [[-400.0, -400.0], [-356.0, -355.0]])
+        assert np.array_equal(Z, np.zeros((2, 3)))
 
 
 class TestRandomLayer:

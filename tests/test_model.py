@@ -30,7 +30,7 @@ from gbtwin.model import (
     serialize,
 )
 
-from _oracles import twin_planes_reference
+from _oracles import plane_distances_reference, twin_planes_reference
 from _synth import make_blobs, make_crossplane
 
 
@@ -342,6 +342,66 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing its random layer"):
             deserialize(doc)
 
+    @pytest.mark.parametrize("key", ["m", "config", "layer", "u1", "u2", "diagnostics"])
+    def test_missing_twin_field_named(self, tmp_path, key):
+        _, path = self.fitted(tmp_path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        with pytest.raises(ValueError, match=f"missing the '{key}' field"):
+            deserialize(doc)
+
+    @pytest.mark.parametrize("section,key", [
+        ("layer", "checksum"), ("config", "feature_space"), ("diagnostics", "k1"),
+        ("normalization", "hi"),
+    ])
+    def test_missing_nested_field_named(self, tmp_path, section, key):
+        _, path = self.fitted(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["normalization"] = {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+        del doc[section][key]
+        with pytest.raises(ValueError, match=f"missing the '{key}' field"):
+            deserialize(doc)
+
+    @pytest.mark.parametrize("space,width", [
+        ("original", 2), ("hidden", 13), ("enhanced", 15),
+    ])
+    @pytest.mark.parametrize("key", ["u1", "u2"])
+    def test_plane_length_is_space_width_plus_one(self, tmp_path, space, width, key):
+        _, path = self.fitted(tmp_path, ModelConfig(granulate=False, feature_space=space,
+                                                    seed=4, h=13))
+        doc = json.loads(path.read_text())
+        assert len(doc[key]) == width + 1
+        deserialize(doc)
+        for bad in (doc[key][:-1], doc[key] + [0.5]):
+            with pytest.raises(ValueError, match=f"'{key}' must hold {width + 1} numbers"):
+                deserialize({**doc, key: bad})
+
+    def test_layer_width_must_match_document_m(self, tmp_path):
+        _, path = self.fitted(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["m"] = 3
+        with pytest.raises(ValueError, match="random layer takes m = 2 inputs, model has m = 3"):
+            deserialize(doc)
+
+    def test_normalization_length_must_match_m(self, tmp_path):
+        _, path = self.fitted(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["normalization"] = {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0]}
+        with pytest.raises(ValueError, match="'lo' must hold 2 numbers"):
+            deserialize(doc)
+
+    @pytest.mark.parametrize("direct_links,width", [(True, 11), (False, 9)])
+    def test_rvfl_weights_length_checked(self, tmp_path, direct_links, width):
+        d = make_blobs(50, seed=15)
+        mdl = fit_rvfl_baseline(9, 4, ridge=1e-2, seed=3, train=d, direct_links=direct_links)
+        doc = serialize(mdl)
+        assert len(doc["weights"]) == width
+        with pytest.raises(ValueError, match=f"'weights' must hold {width} numbers"):
+            deserialize({**doc, "weights": doc["weights"][:-1]})
+        doc.pop("ridge")
+        with pytest.raises(ValueError, match="missing the 'ridge' field"):
+            deserialize(doc)
+
     def test_rvfl_roundtrip(self, tmp_path):
         d = make_blobs(50, seed=15)
         mdl = fit_rvfl_baseline(9, 4, ridge=1e-2, seed=3, train=d)
@@ -365,6 +425,24 @@ class TestSerialization:
         assert np.array_equal(predict(mdl, probe), predict(back, probe))
         doc = serialize(back)
         assert doc["normalization"] is not None
+
+
+class TestScoringMatchesReference:
+    """Both planes scored in one product agree with one matvec per plane."""
+
+    @pytest.mark.parametrize("space", ["original", "hidden", "enhanced"])
+    def test_labels_equal_distances_close(self, space):
+        train = make_blobs(120, seed=31, m=3)
+        mdl = fit(ModelConfig(granulate=False, feature_space=space, seed=5, h=17), train)
+        rows = np.random.default_rng(32).normal(scale=2.0, size=(2000, 3))
+        d1, d2, terms = plane_distances_reference(mdl, rows)
+        labels = predict(mdl, rows)
+        assert set(labels.tolist()) == {-1.0, 1.0}
+        assert np.array_equal(labels, np.where(d1 <= d2, 1.0, -1.0))
+        got = np.array([decision_values(mdl, row) for row in rows])
+        # relative to the summed terms: a distance near 0 is a difference of
+        # terms of order 1, where summation order alone moves it by ~1e-16
+        assert np.all(np.abs(got - np.column_stack([d1, d2])) <= 1e-12 * terms)
 
 
 class TestLegacyDocuments:
