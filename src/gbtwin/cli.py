@@ -103,12 +103,12 @@ OPTIONS = {
     "variant": (str, "ef-gbtsvm", "model variant name"),
     "variants": (_parse_variants, ",".join(COMPARE_VARIANTS),
                  "comma-separated distinct variant names"),
-    "eta": (float, 0.9, "granular-ball purity threshold in (0.5, 1]"),
-    "d1": (float, 1.0, "penalty bound of the first dual"),
-    "d2": (float, 1.0, "penalty bound of the second dual"),
-    "delta": (float, 1e-5, "ridge regularization"),
-    "hidden": (int, 103, "hidden node count"),
-    "activation": (int, 3, "activation index 1..9"),
+    "eta": (float, md.ModelConfig.eta, "granular-ball purity threshold in (0.5, 1]"),
+    "d1": (float, md.ModelConfig.d1, "penalty bound of the first dual"),
+    "d2": (float, md.ModelConfig.d2, "penalty bound of the second dual"),
+    "delta": (float, md.ModelConfig.delta, "ridge regularization"),
+    "hidden": (int, md.ModelConfig.h, "hidden node count"),
+    "activation": (int, md.ModelConfig.activation, "activation index 1..9"),
     "ridge": (float, 1e-3, "ridge for the RVFL baselines"),
     "folds": (int, 5, "cross-validation folds"),
     "ratio": (float, 0.7, "train fraction of the split"),

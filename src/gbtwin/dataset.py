@@ -58,9 +58,13 @@ class Dataset:
         h.update(self.labels.tobytes())
         return h.hexdigest()[:16]
 
+    @property
+    def has_both_classes(self) -> bool:
+        return bool(np.any(self.labels > 0) and np.any(self.labels < 0))
+
     def take(self, indices) -> "Dataset":
-        """Row subset."""
-        idx = np.asarray(indices, dtype=np.int64)
+        """Row subset by an integer index array or a boolean row mask."""
+        idx = np.asarray(indices)
         return Dataset(self.features[idx], self.labels[idx])
 
 

@@ -172,12 +172,11 @@ def grid_search_cv(
     ]
     accs = [[] for _ in cfgs]
     skipped = 0
-    all_idx = np.arange(train.n)
     for fold in kfold_indices(train.n, folds, seed):
         mask = np.ones(train.n, dtype=bool)
         mask[fold] = False
-        cv_train = train.take(all_idx[mask])
-        if not (np.any(cv_train.labels > 0) and np.any(cv_train.labels < 0)):
+        cv_train = train.take(mask)
+        if not cv_train.has_both_classes:
             skipped += 1
             continue
         if template.granulate:

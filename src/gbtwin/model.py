@@ -91,12 +91,12 @@ def ball_centers(train: Dataset, eta: float) -> Dataset:
     deterministic and takes no seed, so one call serves every configuration
     that shares ``train`` and ``eta``.
     """
-    rows, labels = centers_matrix(generate_granular_balls(train, eta))
-    if not (np.any(labels > 0) and np.any(labels < 0)):
+    centers = Dataset(*centers_matrix(generate_granular_balls(train, eta)))
+    if not centers.has_both_classes:
         raise DataError(
             "single class among granular-ball labels; both classes are required"
         )
-    return Dataset(rows, labels)
+    return centers
 
 
 def _plane(near, far, upper, delta, qp_tol, qp_max_iter):
@@ -126,13 +126,13 @@ def fit(
     diagnostics rather than raised; a degenerate zero plane normal is an
     error because prediction would divide by zero.
     """
+    if not train.has_both_classes:
+        raise DataError("single class in training data; both classes are required")
     balls = None
     if cfg.granulate:
         train = ball_centers(train, cfg.eta)
         balls = train.n
     rows, labels = train.features, train.labels
-    if not (np.any(labels > 0) and np.any(labels < 0)):
-        raise DataError("single class in training data; both classes are required")
 
     layer = None
     if cfg.feature_space != "original":
@@ -267,7 +267,7 @@ def fit_rvfl_baseline(
     """
     if ridge <= 0:
         raise ValueError("ridge must be positive")
-    if not (np.any(train.labels > 0) and np.any(train.labels < 0)):
+    if not train.has_both_classes:
         raise DataError("single class in training data; both classes are required")
     layer = ft.init_random_layer(train.m, h, activation, seed)
     phi = _map_rows(_rvfl_space(direct_links), layer, train.features)
@@ -333,8 +333,28 @@ def _require(doc: dict, keys, where: str) -> None:
             raise ValueError(f"{where} is missing the {key!r} field")
 
 
+# the type a scalar field is declared with -> the JSON values it accepts
+_JSON_TYPES = {"bool": bool, "str": str, "int": int, "float": (int, float)}
+
+
+def _scalar(value, kind: str, where: str):
+    """``value`` when it is a JSON value of the declared type ``kind``."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{where} must be of type {kind}, got {value!r}")
+    return value
+
+
 def _record(cls, values: dict, where: str):
-    """``cls(**values)`` once every field without a default is present."""
+    """``cls(**values)`` once every key names a field of ``cls``, every field
+    without a default is present and every scalar field holds its JSON kind."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    kinds = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        if key not in kinds:
+            raise ValueError(f"{where} has an unknown field {key!r}")
+        if kinds[key] in _JSON_TYPES:
+            _scalar(value, kinds[key], f"{where} field {key!r}")
     _require(values, [f.name for f in fields(cls) if f.default is MISSING
                       and f.default_factory is MISSING], where)
     return cls(**values)
@@ -359,6 +379,8 @@ def _layer_field(doc: dict, m: int) -> ft.RandomLayer | None:
     if doc["layer"] is None:
         return None
     _require(doc["layer"], ("seed", "m", "h", "activation", "checksum"), "model layer")
+    for key in ("seed", "m", "h", "activation"):
+        _scalar(doc["layer"][key], "int", f"model layer field {key!r}")
     layer = ft.layer_from_meta(doc["layer"])
     if layer.m != m:
         raise ValueError(f"random layer takes m = {layer.m} inputs, model has m = {m}")
@@ -380,7 +402,7 @@ def deserialize(doc: dict):
         _require(doc, ("m", "direct_links", "ridge", "layer", "weights"), "model document")
     else:
         _require(doc, ("m", "config", "layer", "u1", "u2", "diagnostics"), "model document")
-    m = int(doc["m"])
+    m = _scalar(doc["m"], "int", "model field 'm'")
     layer = _layer_field(doc, m)
     norm = doc.get("normalization")
     norm_arrays = None
@@ -390,14 +412,14 @@ def deserialize(doc: dict):
     if kind == "rvfl":
         if layer is None:
             raise ValueError("rvfl model is missing its random layer")
-        direct_links = bool(doc["direct_links"])
+        direct_links = _scalar(doc["direct_links"], "bool", "model field 'direct_links'")
         width = _space_width(_rvfl_space(direct_links), m, layer)
         return RVFLModel(
             weights=_vector(doc, "weights", width),
             m=m,
             layer=layer,
             direct_links=direct_links,
-            ridge=float(doc["ridge"]),
+            ridge=float(_scalar(doc["ridge"], "float", "model field 'ridge'")),
             normalization=norm_arrays,
         )
     cfg = _record(ModelConfig, doc["config"], "model config")
@@ -405,10 +427,12 @@ def deserialize(doc: dict):
         raise ValueError(
             f"model in {cfg.feature_space!r} space is missing its random layer"
         )
-    dd = dict(doc["diagnostics"])
-    for key in ("dual_iterations", "dual_residuals"):
-        if key in dd:
-            dd[key] = tuple(dd[key])
+    for key in ("seed", "h", "activation"):
+        if layer is not None and getattr(cfg, key) != getattr(layer, key):
+            raise ValueError(f"model config field {key!r} disagrees with its random layer")
+    diag = _record(FitDiagnostics, doc["diagnostics"], "model diagnostics")
+    diag.dual_iterations = tuple(diag.dual_iterations)
+    diag.dual_residuals = tuple(diag.dual_residuals)
     width = _space_width(cfg.feature_space, m, layer) + 1
     return TwinModel(
         u1=_vector(doc, "u1", width),
@@ -416,7 +440,7 @@ def deserialize(doc: dict):
         m=m,
         layer=layer,
         config=cfg,
-        diagnostics=_record(FitDiagnostics, dd, "model diagnostics"),
+        diagnostics=diag,
         normalization=norm_arrays,
     )
 

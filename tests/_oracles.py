@@ -23,6 +23,7 @@ from gbtwin.granular import (
     majority_label,
     purity,
 )
+from gbtwin.qp import _TILE, NumericalError
 
 
 def box_qp_value(Q, upper, alpha):
@@ -161,11 +162,101 @@ def cyclic_box_qp_reference(Q, upper, tol, max_sweeps):
     return alpha, sweeps, residual
 
 
-def _projected_residual(grad, alpha, upper):
+def _projected_residual(grad, alpha, upper) -> float:
     viol = np.abs(grad)
-    viol[alpha <= 0.0] = np.maximum(grad[alpha <= 0.0], 0.0)
-    viol[alpha >= upper] = np.maximum(-grad[alpha >= upper], 0.0)
+    at_lower = alpha <= 0.0
+    at_upper = alpha >= upper
+    viol[at_lower] = np.maximum(grad[at_lower], 0.0)
+    viol[at_upper] = np.maximum(-grad[at_upper], 0.0)
     return float(viol.max())
+
+
+def two_mask_sweeps_reference(Q, upper, tol, max_sweeps):
+    """Shrunk coordinate-ascent sweeps; returns (alpha, sweeps, kkt_residual).
+
+    The earlier form of ``qp.solve_box_qp``, kept verbatim: each sweep
+    classifies the coordinates twice, once into a ``movable`` mask and once
+    more, through ``_projected_residual``, for the residual. The solver's one
+    coordinate rule must reproduce its iterates bit for bit.
+
+    ``grad`` (the objective's gradient 1 - Q alpha) is updated in full after
+    every step, so a skipped coordinate that turns into a violator is seen at
+    the start of the next sweep and no unshrinking is needed.
+    """
+    p = Q.shape[0]
+    diag = Q.diagonal().tolist()
+    alpha = np.zeros(p)
+    grad = np.ones(p)
+    sweeps = 0
+    residual = np.inf
+    while sweeps < max_sweeps:
+        sweeps += 1
+        movable = ((alpha > 0.0) | (grad > 0.0)) & ((alpha < upper) | (grad < 0.0))
+        for i in np.flatnonzero(movable).tolist():
+            qii = diag[i]
+            old = alpha[i]
+            lin = grad[i] + qii * old  # 1 - sum_{j != i} Q_ij alpha_j
+            if qii > 0.0:
+                new = lin / qii
+                if new < 0.0:
+                    new = 0.0
+                elif new > upper:
+                    new = upper
+            else:
+                # flat or degenerate direction: objective is linear in alpha_i
+                new = upper if lin > 0.0 else 0.0
+            step = new - old
+            if step != 0.0:
+                grad -= step * Q[i]
+                alpha[i] = new
+        residual = _projected_residual(grad, alpha, upper)
+        if residual <= tol:
+            # incremental gradient drifts; confirm against a fresh one
+            grad = 1.0 - Q @ alpha
+            residual = _projected_residual(grad, alpha, upper)
+            if residual <= tol:
+                break
+    return alpha, sweeps, residual
+
+
+def two_scratch_tile_symmetrize_reference(Q):
+    """Check that Q is finite and symmetric and overwrite it with ``(Q + Q') / 2``.
+
+    The earlier form of ``BoxQP``'s symmetrizing pass, kept verbatim: it adds
+    before it halves, into two preallocated scratch tiles, so a finite entry
+    above about 9e307 overflows to inf.
+
+    One pass reads Q in square tiles, each tile on or above the diagonal
+    against a scratch copy of its transposed mirror, writes the mean into the
+    tile and its transpose into the mirror. Only two tiles of scratch are
+    allocated. Q is symmetric when ``max|Q - Q'| <= 1e-8 * max(1, max|Q|)``;
+    after a ``NumericalError`` the contents of Q are unspecified.
+    """
+    p = Q.shape[0]
+    n = min(_TILE, p)
+    mirror_buf = np.empty((n, n))
+    diff_buf = np.empty((n, n))
+    scale, asym = 1.0, 0.0
+    for s in range(0, p, _TILE):
+        for t in range(s, p, _TILE):
+            a = Q[s : s + _TILE, t : t + _TILE]
+            h, w = a.shape
+            b = mirror_buf[:h, :w]
+            np.copyto(b, Q[t : t + w, s : s + h].T)
+            hi = np.maximum(a.max(), b.max())
+            lo = np.minimum(a.min(), b.min())
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise NumericalError("Q contains non-finite entries")
+            scale = max(scale, hi, -lo)
+            diff = diff_buf[:h, :w]
+            np.subtract(a, b, out=diff)
+            asym = max(asym, diff.max(), -diff.min())
+            np.add(a, b, out=a)
+            a *= 0.5  # the same bits as / 2
+            if t > s:
+                Q[t : t + w, s : s + h] = a.T
+    if asym > 1e-8 * scale:
+        raise NumericalError("Q is not symmetric")
 
 
 def min_sse_bipartition(X):

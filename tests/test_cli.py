@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import gbtwin
 from gbtwin.cli import COMMANDS, HANDLERS, OPTIONS, main
 from gbtwin.dataset import generate_ndc, write_csv
 from gbtwin.evaluation import nemenyi_cd, read_report
-from gbtwin.model import load_model, predict
+from gbtwin.model import ModelConfig, load_model, predict
 
 
 def run(*argv):
@@ -174,6 +175,42 @@ class TestBrokenModelDocuments:
         assert len(err.splitlines()) == 1
         assert err.startswith("usage error: model field 'u1' must hold")
 
+    @staticmethod
+    def legacy_ef_gbtsvm():
+        path = Path(__file__).parent / "data" / "legacy_models" / "ef-gbtsvm.json"
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("record", ["config", "diagnostics"])
+    def test_unknown_key(self, tmp_path, capsys, record):
+        doc = self.legacy_ef_gbtsvm()
+        doc[record]["extra"] = 1
+        code, err = self.predict_with(tmp_path, doc, capsys)
+        assert code == 1
+        assert err.splitlines() == [f"usage error: model {record} has an unknown field 'extra'"]
+
+    def test_string_penalty(self, tmp_path, capsys):
+        doc = self.legacy_ef_gbtsvm()
+        doc["config"]["d1"] = "1"
+        code, err = self.predict_with(tmp_path, doc, capsys)
+        assert code == 1
+        assert err.splitlines() == ["usage error: model config field 'd1' must be of type float, got '1'"]
+
+    def test_null_feature_count(self, tmp_path, capsys):
+        doc = self.legacy_ef_gbtsvm()
+        doc["m"] = None
+        code, err = self.predict_with(tmp_path, doc, capsys)
+        assert code == 1
+        assert err.splitlines() == ["usage error: model field 'm' must be of type int, got None"]
+
+    def test_config_disagrees_with_layer(self, tmp_path, capsys):
+        doc = self.legacy_ef_gbtsvm()
+        doc["config"].update(h=50, activation=1, seed=9)
+        code, err = self.predict_with(tmp_path, doc, capsys)
+        assert code == 1
+        assert err.splitlines() == [
+            "usage error: model config field 'seed' disagrees with its random layer"
+        ]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -285,6 +322,13 @@ class TestOptionTables:
         offered = {opt for spec in COMMANDS.values() for opt in spec["options"]}
         assert offered == set(OPTIONS)
         assert set(HANDLERS) == set(COMMANDS)
+
+    def test_model_flag_defaults_are_model_config_defaults(self):
+        defaults = {f.name: f.default for f in fields(ModelConfig)}
+        for flag, name in [("eta", "eta"), ("d1", "d1"), ("d2", "d2"), ("delta", "delta"),
+                           ("hidden", "h"), ("activation", "activation")]:
+            assert OPTIONS[flag][1] == defaults[name]
+            assert type(OPTIONS[flag][1]) is type(defaults[name])
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_help_exits_zero(self, command, capsys):

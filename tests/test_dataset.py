@@ -129,6 +129,25 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             d.features[0, 0] = 5.0
 
+    def test_take_by_mask_matches_take_by_indices(self):
+        d = Dataset(np.arange(8.0).reshape(4, 2), np.array([1.0, -1.0, -1.0, 1.0]))
+        mask = np.array([True, False, True, True])
+        by_mask, by_idx = d.take(mask), d.take(np.flatnonzero(mask))
+        assert np.array_equal(by_mask.features, by_idx.features)
+        assert np.array_equal(by_mask.labels, by_idx.labels)
+        assert np.array_equal(by_mask.features, d.features[[0, 2, 3]])
+
+    def test_take_rejects_float_indices(self):
+        d = Dataset(np.ones((3, 2)), np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(IndexError):
+            d.take(np.array([0.0, 2.0]))
+
+    def test_has_both_classes(self):
+        feats = np.ones((3, 2))
+        assert Dataset(feats, np.array([1.0, -1.0, 1.0])).has_both_classes
+        assert not Dataset(feats, np.ones(3)).has_both_classes
+        assert not Dataset(feats, -np.ones(3)).has_both_classes
+
 
 class TestNormalize:
     def test_affine_rescale(self):

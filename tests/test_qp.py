@@ -3,6 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gbtwin import qp
+from gbtwin.dataset import generate_ndc, inject_label_noise
+from gbtwin.model import ModelConfig, fit
 from gbtwin.qp import (
     _TILE,
     DEFAULT_MAX_SWEEPS,
@@ -21,6 +24,8 @@ from _oracles import (
     dense_grid_box_qp,
     enumerate_box_qp,
     grid_box_qp,
+    two_mask_sweeps_reference,
+    two_scratch_tile_symmetrize_reference,
 )
 
 # frozen result of dense_grid_box_qp(Q=[[2,1],[1,2]], upper=10, step=1e-3),
@@ -220,6 +225,109 @@ class TestShrinkingAgainstReference:
             assert np.abs(sol.alpha - ref_alpha).max() <= bound
 
 
+class TestOneCoordinateRule:
+    """The solver against its earlier two-mask form in ``_oracles``: the same bits.
+
+    ``two_mask_sweeps_reference`` picks each sweep's coordinates with a
+    ``movable`` mask and takes the residual through a second classification;
+    the solver takes both from one held-at-a-bound rule.
+    """
+
+    @staticmethod
+    def assert_same_bits(q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_SWEEPS):
+        sol = solve_box_qp(q, tol=tol, max_iter=max_iter)
+        ref_alpha, ref_sweeps, ref_residual = two_mask_sweeps_reference(
+            q.Q, q.upper, tol, max_iter
+        )
+        assert np.array_equal(sol.alpha, ref_alpha)
+        assert sol.iterations == ref_sweeps
+        assert sol.kkt_residual == ref_residual
+        return sol
+
+    @pytest.mark.parametrize("upper", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("r", [3, 10])
+    @pytest.mark.parametrize("p", [50, 400])
+    def test_rank_deficient_bound_heavy(self, p, r, upper):
+        # the duals of TestShrinkingAgainstReference
+        rng = np.random.default_rng(1000 * p + r)
+        A = rng.normal(loc=1.0, size=(p, r))
+        assert self.assert_same_bits(BoxQP(A @ A.T, upper)).converged
+
+    def test_one_sweep(self):
+        Q = random_psd(np.random.default_rng(9), 8)
+        sol = self.assert_same_bits(BoxQP(Q, 10.0), tol=1e-14, max_iter=1)
+        assert not sol.converged
+
+    def test_ill_conditioned_rank_three_dual(self):
+        # Q = A A' with rows on both sides of the origin and a large box: the
+        # sweeps converge slowly here, so the comparison is capped at 200
+        A = np.random.default_rng(0).normal(size=(400, 3))
+        sol = self.assert_same_bits(BoxQP(A @ A.T, 100.0), max_iter=200)
+        assert sol.iterations == 200 and not sol.converged
+
+    def test_granulated_fit_with_exactly_zero_interior_gradients(self, monkeypatch):
+        # a coordinate just stepped to its interior optimum often keeps a
+        # gradient of exactly 0.0; it is not held, so the next sweep re-steps
+        # it, and a rule that dropped it would change the iterates
+        data = inject_label_noise(generate_ndc(200, 4, 2, 2.0, seed=0), 0.1, seed=0)
+        duals = []
+        solve = qp.solve_box_qp
+
+        def capture(q, tol, max_iter):
+            duals.append(q)
+            return solve(q, tol, max_iter)
+
+        rule = qp._free_and_residual
+        zero_interior = []
+
+        def spy(grad, alpha, upper):
+            zero_interior.append(np.any((grad == 0.0) & (alpha > 0.0) & (alpha < upper)))
+            return rule(grad, alpha, upper)
+
+        monkeypatch.setattr(qp, "solve_box_qp", capture)
+        monkeypatch.setattr(qp, "_free_and_residual", spy)
+        fit(ModelConfig(granulate=True, feature_space="original", seed=0), data)
+        monkeypatch.undo()
+        assert len(duals) == 2 and any(zero_interior)
+        for q in duals:
+            self.assert_same_bits(q)
+
+        def nonzero_only(grad, alpha, upper):
+            free, residual = rule(grad, alpha, upper)
+            return free & (grad != 0.0), residual
+
+        monkeypatch.setattr(qp, "_free_and_residual", nonzero_only)
+        changed = []
+        for q in duals:
+            sol = solve_box_qp(q)
+            ref_alpha, ref_sweeps, _ = two_mask_sweeps_reference(
+                q.Q, q.upper, DEFAULT_TOL, DEFAULT_MAX_SWEEPS
+            )
+            changed.append(sol.iterations != ref_sweeps or not np.array_equal(sol.alpha, ref_alpha))
+        assert any(changed)
+
+    def test_huge_finite_entry_is_stored_and_solved(self):
+        # adding before halving would store inf and end in a NaN alpha
+        q = BoxQP([[1e308, 0.0], [0.0, 1.0]], 10.0)
+        assert np.array_equal(q.Q, [[1e308, 0.0], [0.0, 1.0]])
+        sol = solve_box_qp(q)
+        assert np.array_equal(sol.alpha, [1e-308, 1.0])
+        assert sol.converged
+
+    def test_overflowing_gradient_never_certifies(self):
+        # Q alpha overflows; BLAS returns inf or NaN there, depending on
+        # whether its sums use fused multiply-adds
+        q = BoxQP([[1e308, -1e308], [-1e308, 1e308]], 10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not kkt_residual(q, [10.0, 10.0]) <= DEFAULT_TOL
+
+    def test_nan_gradient_is_never_held(self):
+        grad = np.array([np.nan, np.nan, np.nan, -1.0])
+        free, residual = qp._free_and_residual(grad, np.array([0.0, 0.5, 1.0, 0.0]), 1.0)
+        assert free.tolist() == [True, True, True, False]
+        assert np.isnan(residual)
+
+
 class TestBlockedValidation:
     """BoxQP checks and symmetrizes Q tile by tile; p is no multiple of a tile."""
 
@@ -251,6 +359,13 @@ class TestBlockedValidation:
         stored = BoxQP(Q, 1.0).Q
         assert np.array_equal(stored, expected)
         assert stored.flags.c_contiguous and not stored.flags.writeable
+
+    def test_same_bits_as_the_scratch_tile_pass(self):
+        Q = self.symmetric(5)
+        Q += 1e-12 * np.random.default_rng(6).normal(size=Q.shape)  # within tolerance
+        expected = Q.copy()
+        two_scratch_tile_symmetrize_reference(expected)
+        assert np.array_equal(BoxQP(Q, 1.0).Q, expected)
 
     def test_peak_memory_stays_near_one_copy(self):
         # Q is symmetrized in place; only two scratch tiles are allocated
