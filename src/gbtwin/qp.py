@@ -78,26 +78,34 @@ def _symmetrize_in_place(Q):
 
     One pass reads Q in square tiles, each tile on or above the diagonal
     against a halved copy of its transposed mirror, writes the mean into the
-    tile and its transpose into the mirror. Halving before adding keeps every
-    finite entry finite; for normal floats the mean has the bits of
-    ``(Q + Q') / 2``, a subnormal one may differ in its last bit. Q is
-    symmetric when ``max|Q - Q'| <= 1e-8 * max(1, max|Q|)``, tested on the
-    halves; after a ``NumericalError`` the contents of Q are unspecified.
+    tile and its transpose into the mirror. The halved mirror and the
+    difference go to two scratch tiles allocated once per pass. Halving
+    before adding keeps every finite entry finite; for normal floats the mean
+    has the bits of ``(Q + Q') / 2``, a subnormal one may differ in its last
+    bit. Q is symmetric when ``max|Q - Q'| <= 1e-8 * max(1, max|Q|)``, tested
+    on the halves; after a ``NumericalError`` the contents of Q are
+    unspecified.
     """
     p = Q.shape[0]
+    n = min(_TILE, p)
+    # C-ordered: an F-ordered mirror made the pass ~30% slower
+    mirror_buf = np.empty((n, n))
+    diff_buf = np.empty((n, n))
     half_scale, half_asym = 0.5, 0.0
     for s in range(0, p, _TILE):
         for t in range(s, p, _TILE):
             a = Q[s : s + _TILE, t : t + _TILE]
-            # C-ordered: an F-ordered mirror made the pass ~30% slower
-            b = np.multiply(Q[t : t + _TILE, s : s + _TILE].T, 0.5, order="C")
+            h, w = a.shape
+            b = mirror_buf[:h, :w]
+            np.multiply(Q[t : t + w, s : s + h].T, 0.5, out=b)
             a *= 0.5
             hi = np.maximum(a.max(), b.max())
             lo = np.minimum(a.min(), b.min())
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise NumericalError("Q contains non-finite entries")
             half_scale = max(half_scale, hi, -lo)
-            diff = a - b
+            diff = diff_buf[:h, :w]
+            np.subtract(a, b, out=diff)
             half_asym = max(half_asym, diff.max(), -diff.min())
             a += b
             if t > s:

@@ -13,7 +13,7 @@ import gbtwin
 from gbtwin.cli import COMMANDS, HANDLERS, OPTIONS, main
 from gbtwin.dataset import generate_ndc, write_csv
 from gbtwin.evaluation import nemenyi_cd, read_report
-from gbtwin.model import ModelConfig, load_model, predict
+from gbtwin.model import _BLOCK_ROWS, ModelConfig, load_model, predict
 
 
 def run(*argv):
@@ -99,6 +99,32 @@ class TestTrainPredict:
             assert run("predict", "--model", model, "--data", bad,
                        "--out", tmp_path / "y.csv") == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["hf-tsvm", "ef-tsvm", "rvfl"])
+    def test_predict_row_overflowing_the_map_in_last_block(self, tmp_path, capsys, variant):
+        # columns span exactly [0, 1], so the stored ranges leave rows as they
+        # are and only relu(x W + b) overflows the last row
+        rng = np.random.default_rng(3)
+        train = np.vstack([np.zeros(5), np.ones(5), rng.random((198, 5))])
+        data = tmp_path / "x.csv"
+        data.write_text("".join(
+            ",".join(repr(float(v)) for v in row) + (",1\n" if row.sum() > 2.5 else ",-1\n")
+            for row in train
+        ))
+        model = tmp_path / "model.json"
+        assert run("train", "--variant", variant, "--data", data, "--seed", 7,
+                   "--activation", 2, "--out", model) == 0
+        rows = rng.random((2 * _BLOCK_ROWS + 3, 5))
+        rows[-1] = 1.7e308
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("predict", "--model", model, "--data", bad,
+                       "--out", tmp_path / "y.csv") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["data error: feature matrix contains non-finite entries"]
 
     def test_train_single_class_is_data_error(self, tmp_path):
         path = tmp_path / "single.csv"

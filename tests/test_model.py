@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,16 @@ from gbtwin.dataset import (
     Dataset,
     generate_ndc,
     load_features_csv,
+    minmax_ranges,
     normalize_minmax,
     split_train_test,
 )
 from gbtwin.features import init_random_layer
 from gbtwin.model import (
+    _BLOCK_ROWS,
+    _map_rows,
+    _plane_distances,
+    _rvfl_space,
     FitDiagnostics,
     FitError,
     ModelConfig,
@@ -443,6 +449,73 @@ class TestScoringMatchesReference:
         # relative to the summed terms: a distance near 0 is a difference of
         # terms of order 1, where summation order alone moves it by ~1e-16
         assert np.all(np.abs(got - np.column_stack([d1, d2])) <= 1e-12 * terms)
+
+
+BLOCK_EDGE_ROWS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+
+
+class TestBlockedScoring:
+    """Rows mapped and scored in blocks agree with scoring all rows at once."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    @pytest.mark.parametrize("space", ["original", "hidden", "enhanced"])
+    def test_twin_labels_equal_distances_close(self, space, n):
+        train = make_blobs(120, seed=31, m=3)
+        mdl = fit(ModelConfig(granulate=False, feature_space=space, seed=5, h=17), train)
+        rows = np.random.default_rng(33).normal(scale=2.0, size=(n, 3))
+        d1, d2, terms = plane_distances_reference(mdl, rows)
+        labels = predict(mdl, rows)
+        assert labels.shape == (n,)
+        assert np.array_equal(labels, np.where(d1 <= d2, 1.0, -1.0))
+        got = np.column_stack(_plane_distances(mdl, rows))
+        assert np.all(np.abs(got - np.column_stack([d1, d2])) <= 1e-12 * terms)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    @pytest.mark.parametrize("direct_links", [True, False])
+    def test_rvfl_labels_equal_unblocked_scores(self, direct_links, n):
+        train = make_blobs(120, seed=34, m=3)
+        mdl = fit_rvfl_baseline(17, 3, ridge=1e-3, seed=5, train=train,
+                                direct_links=direct_links)
+        rows = np.random.default_rng(35).normal(scale=2.0, size=(n, 3))
+        phi = _map_rows(_rvfl_space(direct_links), mdl.layer, rows)
+        scores = phi @ mdl.weights
+        # no score lies within its rounding bound of 0, so no label can flip
+        assert np.all(np.abs(scores) > 1e-12 * (np.abs(phi) @ np.abs(mdl.weights)))
+        labels = predict(mdl, rows)
+        assert labels.shape == (n,)
+        assert np.array_equal(labels, np.where(scores >= 0.0, 1.0, -1.0))
+
+    @pytest.mark.parametrize("kind", ["hidden", "enhanced", "rvfl"])
+    def test_map_overflow_in_last_block_rejected(self, kind):
+        d = make_blobs(40, seed=13)
+        if kind == "rvfl":
+            mdl = fit_rvfl_baseline(5, 2, ridge=1e-3, seed=0, train=d)
+        else:
+            mdl = fit(plain_config(feature_space=kind, h=5, activation=2), d)
+        X = make_blobs(2 * _BLOCK_ROWS + 3, seed=36).features.copy()
+        X[-1] = 1.7e308  # finite, but relu(x W + b) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="non-finite entries"):
+                predict(mdl, X)
+
+    def test_predict_memory_does_not_scale_with_the_mapped_width(self):
+        n, m, h = 20000, 33, 203
+        raw = make_blobs(300, seed=37, m=m)
+        ranges = minmax_ranges(raw)
+        mdl = fit(ModelConfig(granulate=False, feature_space="enhanced", seed=3, h=h),
+                  normalize_minmax(raw), normalization=ranges)
+        rows = make_blobs(n, seed=38, m=m).features
+        tracemalloc.start()
+        try:
+            predict(mdl, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # only the n x m input, which min-max scaling holds twice, and the
+        # n x 2 distances grow with n: about 13 MB, where the n x (h + m)
+        # mapped matrix alone is 37.8 MB
+        assert peak <= 8 * n * (2 * m + 2) + 2 * 2**20
 
 
 class TestLegacyDocuments:
