@@ -3,7 +3,8 @@
 A layer drawn once from a seed maps rows through ``phi(X W + bias)``; the
 enhanced space appends the original columns after the hidden block. The same
 layer instance must map training rows and prediction rows. Neither map ever
-returns a non-finite matrix.
+returns a non-finite matrix, and neither lets an overflow warning escape: a
+finite row that overflows the map is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ def _activate_in_place(kind: int, z: np.ndarray) -> None:
         np.subtract(1.0, z, out=z)
         np.maximum(0.0, z, out=z)
     elif kind == 7:
-        np.square(z, out=z)
+        # exp(-z^2); z^2 = inf for |z| > 1.34e154 gives exactly 0, so the
+        # overflow is the intended result
+        with np.errstate(over="ignore"):
+            np.square(z, out=z)
         np.negative(z, out=z)
         np.exp(z, out=z)
     elif kind == 8:
@@ -133,9 +137,12 @@ def hidden_features(layer: RandomLayer, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != layer.m:
         raise ValueError(f"expected {layer.m} feature columns, got {X.shape[1]}")
-    Z = X @ layer.weights
-    Z += layer.bias
-    _activate_in_place(layer.activation, Z)
+    # a finite row may overflow here; the finiteness check rejects it, so the
+    # map never lets the overflow warning escape
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = X @ layer.weights
+        Z += layer.bias
+        _activate_in_place(layer.activation, Z)
     _check_finite(Z)
     return Z
 

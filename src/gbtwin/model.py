@@ -10,6 +10,10 @@ nearer hyperplane measured in the same feature space the model was fit in.
 of them. ``predict`` maps and scores rows in blocks of ``_BLOCK_ROWS``, so it
 never holds the n x (h + m) mapped matrix and each block stays in cache; the
 blocked products may round distances differently in their last bits.
+
+A saved model document holds ``schema_version``, ``kind``, then one key per
+field of its model class. ``serialize`` and ``deserialize`` serve both model
+kinds, and the reader checks every level of a document by one object rule.
 """
 
 from __future__ import annotations
@@ -72,11 +76,11 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class TwinModel:
+    m: int  # raw input feature count
+    config: ModelConfig
+    layer: ft.RandomLayer | None
     u1: np.ndarray  # (w1, b1), length feature-dim + 1
     u2: np.ndarray
-    m: int  # raw input feature count
-    layer: ft.RandomLayer | None
-    config: ModelConfig
     diagnostics: FitDiagnostics
     normalization: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -267,11 +271,11 @@ def predict(mdl, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RVFLModel:
-    weights: np.ndarray
     m: int
-    layer: ft.RandomLayer
     direct_links: bool
     ridge: float
+    layer: ft.RandomLayer
+    weights: np.ndarray
     normalization: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -325,152 +329,142 @@ def _predict_rvfl(mdl: RVFLModel, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {"twin": TwinModel, "rvfl": RVFLModel}
+
+
+def _json_value(value):
+    """The JSON form of one model field."""
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, ft.RandomLayer):
+        return ft.layer_meta(value)
+    if isinstance(value, (ModelConfig, FitDiagnostics)):
+        return asdict(value)
+    if isinstance(value, tuple):  # the normalization ranges
+        lo, hi = value
+        return {"lo": _json_value(lo), "hi": _json_value(hi)}
+    return value
+
+
 def serialize(mdl) -> dict:
-    """Model document: everything needed to replay predictions exactly."""
-    norm = None
-    if mdl.normalization is not None:
-        lo, hi = mdl.normalization
-        norm = {"lo": [float(v) for v in lo], "hi": [float(v) for v in hi]}
-    if isinstance(mdl, RVFLModel):
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "kind": "rvfl",
-            "m": mdl.m,
-            "direct_links": mdl.direct_links,
-            "ridge": mdl.ridge,
-            "layer": ft.layer_meta(mdl.layer),
-            "weights": [float(v) for v in mdl.weights],
-            "normalization": norm,
-        }
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "kind": "twin",
-        "m": mdl.m,
-        "config": asdict(mdl.config),
-        "layer": None if mdl.layer is None else ft.layer_meta(mdl.layer),
-        "u1": [float(v) for v in mdl.u1],
-        "u2": [float(v) for v in mdl.u2],
-        "diagnostics": asdict(mdl.diagnostics),
-        "normalization": norm,
-    }
+    """Model document: everything needed to replay predictions exactly.
 
-
-def _require(doc: dict, keys, where: str) -> None:
-    for key in keys:
-        if key not in doc:
-            raise ValueError(f"{where} is missing the {key!r} field")
+    It holds ``schema_version``, ``kind``, then one key per field of the
+    model's class, in field order.
+    """
+    kind = next(name for name, cls in _KINDS.items() if isinstance(mdl, cls))
+    doc = {"schema_version": MODEL_SCHEMA_VERSION, "kind": kind}
+    for f in fields(mdl):
+        doc[f.name] = _json_value(getattr(mdl, f.name))
+    return doc
 
 
 # the type a scalar field is declared with -> the JSON values it accepts
 _JSON_TYPES = {"bool": bool, "str": str, "int": int, "float": (int, float)}
 
+# keys of the objects no dataclass declares -> their scalar type, None for a list
+_LAYER_FIELDS = {"seed": "int", "m": "int", "h": "int", "activation": "int", "checksum": "str"}
+_NORMALIZATION_FIELDS = {"lo": None, "hi": None}
 
-def _scalar(value, kind: str, where: str):
-    """``value`` when it is a JSON value of the declared type ``kind``."""
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
-        raise ValueError(f"{where} must be of type {kind}, got {value!r}")
+
+def _json_object(value, level: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"model {level} must be a JSON object")
     return value
 
 
-def _record(cls, values: dict, where: str):
-    """``cls(**values)`` once every key names a field of ``cls``, every field
-    without a default is present and every scalar field holds its JSON kind."""
-    if not isinstance(values, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    kinds = {f.name: f.type for f in fields(cls)}
-    for key, value in values.items():
-        if key not in kinds:
-            raise ValueError(f"{where} has an unknown field {key!r}")
-        if kinds[key] in _JSON_TYPES:
-            _scalar(value, kinds[key], f"{where} field {key!r}")
-    _require(values, [f.name for f in fields(cls) if f.default is MISSING
-                      and f.default_factory is MISSING], where)
-    return cls(**values)
+def _object(value, schema, level: str) -> dict:
+    """``value`` when it is a JSON object with every required key of
+    ``schema``, no other key, and for each scalar key a JSON value of its
+    declared type.
+
+    ``schema`` is a dataclass, whose fields without a default are required,
+    or a dict of required keys to scalar types. ``level`` names the object:
+    ``document`` for the top level, else the key that holds it.
+    """
+    _json_object(value, level)
+    types, optional = schema, ()
+    if not isinstance(schema, dict):
+        types = {f.name: f.type for f in fields(schema)}
+        optional = {f.name for f in fields(schema)
+                    if f.default is not MISSING or f.default_factory is not MISSING}
+    for key in types:
+        if key not in value and key not in optional:
+            raise ValueError(f"model {level} is missing the {key!r} field")
+    where = "model" if level == "document" else f"model {level}"
+    for key, item in value.items():
+        if key not in types:
+            raise ValueError(f"model {level} has an unknown field {key!r}")
+        kind = types[key]
+        if kind in _JSON_TYPES and (isinstance(item, bool) != (kind == "bool")
+                                    or not isinstance(item, _JSON_TYPES[kind])):
+            raise ValueError(f"{where} field {key!r} must be of type {kind}, got {item!r}")
+    return value
 
 
 def _vector(doc: dict, key: str, length: int) -> np.ndarray:
-    vec = np.asarray(doc[key], dtype=np.float64)
-    if vec.shape != (length,):
-        raise ValueError(
-            f"model field {key!r} must hold {length} numbers, got shape {vec.shape}"
-        )
-    return vec
+    """``doc[key]`` when it is a JSON list of ``length`` finite numbers."""
+    value = doc[key]
+    if (isinstance(value, list) and len(value) == length
+            and all(type(v) in (int, float) for v in value)):
+        vec = np.array(value, dtype=np.float64)
+        if np.all(np.isfinite(vec)):  # json reads NaN and Infinity
+            return vec
+    raise ValueError(f"model field {key!r} must hold {length} numbers, got {value!r:.60}")
 
 
-def _space_width(space: str, m: int, layer: ft.RandomLayer | None) -> int:
-    if space == "original":
-        return m
-    return layer.h + (m if space == "enhanced" else 0)
-
-
-def _layer_field(doc: dict, m: int) -> ft.RandomLayer | None:
-    if doc["layer"] is None:
+def _layer(meta, m: int) -> ft.RandomLayer | None:
+    if meta is None:
         return None
-    _require(doc["layer"], ("seed", "m", "h", "activation", "checksum"), "model layer")
-    for key in ("seed", "m", "h", "activation"):
-        _scalar(doc["layer"][key], "int", f"model layer field {key!r}")
-    layer = ft.layer_from_meta(doc["layer"])
+    layer = ft.layer_from_meta(_object(meta, _LAYER_FIELDS, "layer"))
     if layer.m != m:
         raise ValueError(f"random layer takes m = {layer.m} inputs, model has m = {m}")
     return layer
 
 
 def deserialize(doc: dict):
-    """Model from its document; a missing or mis-sized field is a ValueError."""
-    version = doc.get("schema_version")
+    """Model from its document.
+
+    Every level (the document, its layer, normalization, config and
+    diagnostics) must be a JSON object with every required key, no unknown
+    key and scalars of their declared types; a breach, or a vector that is
+    not a list of as many numbers as the feature space needs, is a ValueError.
+    """
+    version = _json_object(doc, "document").get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported model schema version {version!r}, "
-            f"expected {MODEL_SCHEMA_VERSION}"
-        )
+        raise ValueError(f"unsupported model schema version {version!r}, "
+                         f"expected {MODEL_SCHEMA_VERSION}")
     kind = doc.get("kind")
-    if kind not in ("twin", "rvfl"):
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if kind == "rvfl":
-        _require(doc, ("m", "direct_links", "ridge", "layer", "weights"), "model document")
+    cls = _KINDS[kind]
+    envelope = ("schema_version", "kind")
+    values = _object({k: v for k, v in doc.items() if k not in envelope}, cls, "document")
+    m = values["m"]
+    layer = values["layer"] = _layer(values["layer"], m)
+    if values.get("normalization") is not None:
+        norm = _object(values["normalization"], _NORMALIZATION_FIELDS, "normalization")
+        values["normalization"] = (_vector(norm, "lo", m), _vector(norm, "hi", m))
+    if cls is RVFLModel:
+        space, vectors, offset = _rvfl_space(values["direct_links"]), ("weights",), 0
     else:
-        _require(doc, ("m", "config", "layer", "u1", "u2", "diagnostics"), "model document")
-    m = _scalar(doc["m"], "int", "model field 'm'")
-    layer = _layer_field(doc, m)
-    norm = doc.get("normalization")
-    norm_arrays = None
-    if norm is not None:
-        _require(norm, ("lo", "hi"), "model normalization")
-        norm_arrays = (_vector(norm, "lo", m), _vector(norm, "hi", m))
-    if kind == "rvfl":
-        if layer is None:
-            raise ValueError("rvfl model is missing its random layer")
-        direct_links = _scalar(doc["direct_links"], "bool", "model field 'direct_links'")
-        width = _space_width(_rvfl_space(direct_links), m, layer)
-        return RVFLModel(
-            weights=_vector(doc, "weights", width),
-            m=m,
-            layer=layer,
-            direct_links=direct_links,
-            ridge=float(_scalar(doc["ridge"], "float", "model field 'ridge'")),
-            normalization=norm_arrays,
-        )
-    cfg = _record(ModelConfig, doc["config"], "model config")
-    if cfg.feature_space != "original" and layer is None:
-        raise ValueError(
-            f"model in {cfg.feature_space!r} space is missing its random layer"
-        )
-    for key in ("seed", "h", "activation"):
-        if layer is not None and getattr(cfg, key) != getattr(layer, key):
-            raise ValueError(f"model config field {key!r} disagrees with its random layer")
-    diag = _record(FitDiagnostics, doc["diagnostics"], "model diagnostics")
-    diag.dual_iterations = tuple(diag.dual_iterations)
-    diag.dual_residuals = tuple(diag.dual_residuals)
-    width = _space_width(cfg.feature_space, m, layer) + 1
-    return TwinModel(
-        u1=_vector(doc, "u1", width),
-        u2=_vector(doc, "u2", width),
-        m=m,
-        layer=layer,
-        config=cfg,
-        diagnostics=diag,
-        normalization=norm_arrays,
-    )
+        cfg = values["config"] = ModelConfig(**_object(values["config"], ModelConfig, "config"))
+        for key in ("seed", "h", "activation"):
+            if layer is not None and getattr(cfg, key) != getattr(layer, key):
+                raise ValueError(f"model config field {key!r} disagrees with its random layer")
+        diag = FitDiagnostics(**_object(values["diagnostics"], FitDiagnostics, "diagnostics"))
+        diag.dual_iterations = tuple(diag.dual_iterations)
+        diag.dual_residuals = tuple(diag.dual_residuals)
+        values["diagnostics"] = diag
+        # a plane holds one weight per feature, then its offset
+        space, vectors, offset = cfg.feature_space, ("u1", "u2"), 1
+    if space != "original" and layer is None:
+        raise ValueError(f"model in {space!r} space is missing its random layer")
+    # original and enhanced rows hold the m raw columns, hidden and enhanced the h hidden
+    width = (m if space != "hidden" else 0) + (layer.h if space != "original" else 0) + offset
+    for key in vectors:
+        values[key] = _vector(values, key, width)
+    return cls(**values)
 
 
 def save_model(mdl, path) -> None:

@@ -53,7 +53,10 @@ def ridge_factorize(A, delta: float) -> RidgeGram:
         raise NumericalError("cannot factorize a matrix with non-finite entries")
     if delta <= 0:
         raise ValueError(f"ridge delta must be positive, got {delta}")
-    gram = A.T @ A + delta * np.eye(A.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A.T @ A + delta * np.eye(A.shape[1])
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError("the Gram matrix of a finite matrix overflows")
     try:
         factor = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:

@@ -214,6 +214,26 @@ class TestBrokenModelDocuments:
         assert code == 1
         assert err.splitlines() == [f"usage error: model {record} has an unknown field 'extra'"]
 
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        doc = self.legacy_ef_gbtsvm()
+        doc["extra"] = 1
+        code, err = self.predict_with(tmp_path, doc, capsys)
+        assert code == 1
+        assert err.splitlines() == ["usage error: model document has an unknown field 'extra'"]
+
+    def test_array_document(self, tmp_path, capsys):
+        code, err = self.predict_with(tmp_path, [self.legacy_ef_gbtsvm()], capsys)
+        assert code == 1
+        assert err.splitlines() == ["usage error: model document must be a JSON object"]
+
+    @pytest.mark.parametrize("level", ["layer", "normalization", "config", "diagnostics"])
+    def test_string_level(self, tmp_path, capsys, level):
+        doc = self.legacy_ef_gbtsvm()
+        doc[level] = "x"
+        code, err = self.predict_with(tmp_path, doc, capsys)
+        assert code == 1
+        assert err.splitlines() == [f"usage error: model {level} must be a JSON object"]
+
     def test_string_penalty(self, tmp_path, capsys):
         doc = self.legacy_ef_gbtsvm()
         doc["config"]["d1"] = "1"

@@ -212,6 +212,24 @@ class TestNonFiniteRule:
         with pytest.raises(DataError, match="feature matrix contains non-finite entries"):
             enhanced_features(layer, X)
 
+    def test_hidden_overflow_rejected_without_warning(self):
+        layer = self.ones_layer(activation=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="feature matrix contains non-finite entries"):
+                hidden_features(layer, [[1e308, 1e308]])
+            with pytest.raises(DataError, match="feature matrix contains non-finite entries"):
+                enhanced_features(layer, [[1e308, 1e308]])
+
+    def test_radbas_square_overflow_is_zero(self):
+        # |z| > 1.34e154 squares to inf, and exp(-inf) = 0 is the intended value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert activate(7, 1e200) == 0.0
+            Z = hidden_features(init_random_layer(2, 3, 7, 0), [[1e200, 1e200]])
+        assert Z.shape == (1, 3)
+        assert np.all(Z == 0.0)
+
 
 class TestLayerMeta:
     def test_roundtrip(self):

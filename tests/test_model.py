@@ -287,6 +287,34 @@ class TestRvflBaseline:
             predict(mdl, np.array([[1e308, 1e308]]))
 
 
+class TestOverflowInFit:
+    """A finite training row that overflows the hidden map is a DataError, and
+    no overflow warning escapes first."""
+
+    @staticmethod
+    def overflowing_rows():
+        d = make_blobs(40, seed=13, m=8)
+        X = d.features.copy()
+        X[0] = 1e308  # finite, but relu(x W + b) overflows
+        return Dataset(X, d.labels)
+
+    @pytest.mark.parametrize("space", ["hidden", "enhanced"])
+    def test_twin_fit(self, space):
+        cfg = plain_config(feature_space=space, h=5, activation=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite entries"):
+                fit(cfg, self.overflowing_rows())
+
+    @pytest.mark.parametrize("direct_links", [True, False])
+    def test_rvfl_fit(self, direct_links):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite entries"):
+                fit_rvfl_baseline(5, 2, ridge=1e-3, seed=0, train=self.overflowing_rows(),
+                                  direct_links=direct_links)
+
+
 class TestSerialization:
     def fitted(self, tmp_path, cfg=None):
         d = make_blobs(60, seed=12)
@@ -382,6 +410,15 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"'{key}' must hold {width + 1} numbers"):
                 deserialize({**doc, key: bad})
 
+    @pytest.mark.parametrize("bad", [{}, None, "1234", [None] * 3, ["1"] * 3, [True] * 3,
+                                     [0.5, float("nan"), 1.0], [0.5, 1.0, float("inf")]])
+    def test_plane_must_be_a_list_of_numbers(self, tmp_path, bad):
+        _, path = self.fitted(tmp_path, plain_config())
+        doc = json.loads(path.read_text())
+        assert len(doc["u1"]) == 3
+        with pytest.raises(ValueError, match="^model field 'u1' must hold 3 numbers, got "):
+            deserialize({**doc, "u1": bad})
+
     def test_layer_width_must_match_document_m(self, tmp_path):
         _, path = self.fitted(tmp_path)
         doc = json.loads(path.read_text())
@@ -431,6 +468,36 @@ class TestSerialization:
         assert np.array_equal(predict(mdl, probe), predict(back, probe))
         doc = serialize(back)
         assert doc["normalization"] is not None
+
+    @pytest.mark.parametrize("level", ["document", "layer", "normalization", "config",
+                                       "diagnostics"])
+    @pytest.mark.parametrize("value", ["x", [], 1])
+    def test_non_object_level_rejected(self, tmp_path, level, value):
+        _, path = self.fitted(tmp_path)
+        doc = json.loads(path.read_text())
+        if level == "document":
+            doc = value
+        else:
+            doc[level] = value
+        with pytest.raises(ValueError, match=f"^model {level} must be a JSON object$"):
+            deserialize(doc)
+
+    @pytest.mark.parametrize("kind", ["twin", "rvfl"])
+    def test_unknown_top_level_key_rejected(self, kind):
+        d = make_blobs(50, seed=15)
+        if kind == "rvfl":
+            mdl = fit_rvfl_baseline(9, 4, ridge=1e-2, seed=3, train=d)
+        else:
+            mdl = fit(plain_config(), d)
+        with pytest.raises(ValueError, match="^model document has an unknown field 'extra'$"):
+            deserialize({**serialize(mdl), "extra": 1})
+
+    def test_unknown_layer_key_rejected(self, tmp_path):
+        _, path = self.fitted(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["layer"]["extra"] = 1
+        with pytest.raises(ValueError, match="^model layer has an unknown field 'extra'$"):
+            deserialize(doc)
 
 
 class TestScoringMatchesReference:
@@ -539,3 +606,17 @@ class TestLegacyDocuments:
         assert set(expected.tolist()) == {-1.0, 1.0}
         mdl = load_model(self.DIR / f"{kind}.json")
         assert np.array_equal(predict(mdl, probe), expected)
+
+    @pytest.mark.parametrize("kind", ["tsvm", "ef-gbtsvm", "rvfl"])
+    def test_resave_writes_the_same_bytes(self, tmp_path, kind):
+        path = self.DIR / f"{kind}.json"
+        save_model(load_model(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_new_documents_keep_the_legacy_key_order(self):
+        d = make_blobs(50, seed=15)
+        twin = fit(ModelConfig(granulate=True, feature_space="enhanced", seed=4, h=5), d)
+        rvfl = fit_rvfl_baseline(5, 3, ridge=1e-2, seed=3, train=d)
+        for mdl, kind in ((twin, "ef-gbtsvm"), (twin, "tsvm"), (rvfl, "rvfl")):
+            legacy = json.loads((self.DIR / f"{kind}.json").read_text())
+            assert list(serialize(mdl)) == list(legacy)

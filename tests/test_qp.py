@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gbtwin import qp
-from gbtwin.dataset import generate_ndc, inject_label_noise
+from gbtwin.dataset import Dataset, generate_ndc, inject_label_noise
 from gbtwin.model import ModelConfig, fit
 from gbtwin.qp import (
     _TILE,
@@ -65,6 +66,28 @@ class TestRidgeFactorize:
             ridge_factorize(np.eye(2), delta=0.0)
         with pytest.raises(NumericalError, match="non-finite"):
             ridge_factorize(np.array([[np.inf, 0.0]]), delta=1.0)
+
+    @pytest.mark.parametrize("A", [
+        [[1e200, 0.0], [0.0, 1.0]],
+        [[1e200, 1e200], [1e200, -1e200]],  # inf - inf in the off-diagonal
+    ])
+    def test_finite_matrix_whose_gram_overflows(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Gram matrix .* overflows"):
+                ridge_factorize(np.array(A), delta=1.0)
+
+    @pytest.mark.parametrize("space,rows", [
+        ("original", [[1e200, 0.0], [0.0, 1e200], [2e200, 1.0], [1.0, 2e200]]),
+        ("hidden", [[1e300, 1e300], [0.5, 0.2], [-0.3, 0.4], [0.1, -0.6]]),
+    ])
+    def test_fit_whose_gram_overflows(self, space, rows):
+        train = Dataset(np.array(rows), np.array([1.0, 1.0, -1.0, -1.0]))
+        cfg = ModelConfig(granulate=False, feature_space=space, seed=0, h=5, activation=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Gram matrix .* overflows"):
+                fit(cfg, train)
 
 
 class TestSolveSpd:
