@@ -135,13 +135,15 @@ def ball_centers(train: Dataset, eta: float) -> Dataset:
 def _plane(near, far, upper, delta, qp_tol, qp_max_iter):
     """Plane through the ``near`` rows, kept from the ``far`` rows by one dual.
 
-    Rows carry a trailing column of ones. Factorizes the ridge Gram matrix of
-    the near rows, solves the box-constrained dual over the far rows, and
-    returns ``(G^-1 far' alpha, dual solution)``; the caller fixes the sign.
+    Rows carry a trailing column of ones. Factorizes the ridge Gram matrix
+    ``G = L L'`` of the near rows, solves the box-constrained dual over the
+    far rows, whose matrix ``far G^-1 far'`` is ``V V'`` with
+    ``V = far L^-T``, and returns ``(G^-1 far' alpha, dual solution)``; the
+    caller fixes the sign.
     """
     gram = qp.ridge_factorize(near, delta)
-    q = far @ qp.solve_spd(gram, far.T)
-    sol = qp.solve_box_qp(qp.BoxQP(q, upper), tol=qp_tol, max_iter=qp_max_iter)
+    dual = qp.BoxQP(qp.LowRank(qp.whiten(gram, far)), upper)
+    sol = qp.solve_box_qp(dual, tol=qp_tol, max_iter=qp_max_iter)
     return qp.solve_spd(gram, far.T @ sol.alpha), sol
 
 

@@ -10,9 +10,13 @@ bound with its gradient pointing out of the box. The residual is the largest
 |gradient| among the coordinates not held, and the next sweep visits exactly
 those (shrinking, as in SVMlight and LIBLINEAR).
 
-``BoxQP`` owns the Q it is handed: a writable C-ordered float64 array is
-symmetrized in place, so a dual holds one p x p matrix, not two. Both
-triangles are halved before they are added, so any finite Q stays finite.
+``fit``'s duals have ``Q = H G^-1 H'`` with the ridge factor ``G = L L'``,
+which is ``V V'`` for ``V = H L^-T`` (``whiten``). Handed ``LowRank(V)``,
+``BoxQP`` builds ``V V'`` itself, exactly symmetric and PSD, and checks V
+rather than Q. Handed an explicit matrix, ``BoxQP`` owns it: a writable
+C-ordered float64 array is checked and symmetrized in place, halving both
+triangles before adding them, so any finite Q stays finite. Either way a
+dual holds one p x p matrix, not two.
 """
 
 from __future__ import annotations
@@ -20,15 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 10_000
 DEFAULT_DELTA = 1e-5
 # edge of the square tiles BoxQP validates and symmetrizes Q in place; on a
 # 6951 x 6951 Q (2 cores, one BLAS thread) 128 ran a few percent faster than
-# 192 or 256 and clearly faster than 64
+# 192 or 256 and clearly faster than 64. It is also the height of the row
+# panels V V' is built in: on a 7000 x 34 V, 128 to 512 rows were within
+# noise of each other and 64 rows about 15% slower.
 _TILE = 128
+# a row of V with |V_i|^2 below this bound keeps every entry of V V' finite
+_ROW_NORM_SQ_MAX = np.finfo(np.float64).max / 4
 
 
 class NumericalError(Exception):
@@ -76,6 +84,55 @@ def solve_spd(g: RidgeGram, rhs):
     return cho_solve(g.factor, rhs)
 
 
+def whiten(g: RidgeGram, rows):
+    """``rows L^-T`` for the ridge factor ``L L' = A'A + delta*I``.
+
+    ``whiten(g, B) @ whiten(g, B).T`` is ``B (A'A + delta*I)^-1 B'``: one
+    triangular solve gives the k x c factor of a dual's matrix. Finiteness is
+    not checked here; ``BoxQP`` checks the factor it is handed.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != g.c:
+        raise ValueError(f"rows must be a 2-D matrix with {g.c} columns")
+    # ridge_factorize keeps the lower factor
+    return solve_triangular(g.factor[0], rows.T, lower=True, check_finite=False).T
+
+
+@dataclass(frozen=True)
+class LowRank:
+    """A dual matrix given by its factor: ``Q = V V'`` with V p x c."""
+
+    V: np.ndarray
+
+
+def _outer_in_panels(V):
+    """``V V'`` for a p x c V, built in row panels of ``_TILE`` rows.
+
+    Each panel is one product into the upper triangle, its diagonal block
+    and the rest of its columns mirrored into the lower, so the result is
+    exactly symmetric and holds the bits of the upper triangle. A V that is
+    non-finite, or whose largest squared row norm passes
+    ``_ROW_NORM_SQ_MAX``, is rejected before Q is allocated: that bound also
+    bounds every |Q_ij|, so no product overflows.
+    """
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    if V.ndim != 2:
+        raise ValueError("V must be a 2-D matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_norm_sq = np.einsum("ij,ij->i", V, V)
+    if not float(row_norm_sq.max(initial=0.0)) <= _ROW_NORM_SQ_MAX:
+        raise NumericalError("Q contains non-finite entries")
+    p = V.shape[0]
+    Q = np.empty((p, p))
+    for s in range(0, p, _TILE):
+        e = min(s + _TILE, p)
+        np.matmul(V[s:e], V[s:].T, out=Q[s:e, s:])
+        block = Q[s:e, s:e]
+        np.copyto(block, block.T, where=np.tri(e - s, k=-1, dtype=bool))
+        Q[e:, s:e] = Q[s:e, e:].T
+    return Q
+
+
 def _symmetrize_in_place(Q):
     """Check that Q is finite and symmetric and overwrite it with ``Q/2 + Q'/2``.
 
@@ -121,7 +178,16 @@ def _symmetrize_in_place(Q):
 class BoxQP:
     """maximize alpha'1 - 0.5 alpha'Q alpha  s.t.  0 <= alpha <= upper.
 
-    BoxQP takes over the Q it is given: a writable C-ordered float64 array is
+    Q is given as ``LowRank(V)`` or as an explicit matrix; after construction
+    ``Q`` is always the explicit read-only p x p float64 matrix.
+
+    From ``LowRank(V)`` the stored Q is ``V V'`` built in row panels: exactly
+    symmetric, PSD, within rounding of ``V @ V.T``, and never read back to be
+    checked. A V that is non-finite, or whose largest squared row norm
+    exceeds ``finfo.max / 4``, raises ``NumericalError("Q contains non-finite
+    entries")`` with no warning.
+
+    BoxQP takes over an explicit Q: a writable C-ordered float64 array is
     checked and symmetrized in place and then marked read-only, so the caller
     must not rely on its old contents. Any other input (a list, another
     dtype or order, a read-only array) is copied and the caller's array is
@@ -132,18 +198,21 @@ class BoxQP:
     unspecified.
     """
 
-    Q: np.ndarray
+    Q: np.ndarray | LowRank
     upper: float
 
     def __post_init__(self):
         if self.upper <= 0:
             raise ValueError(f"box bound must be positive, got {self.upper}")
-        Q = np.require(self.Q, np.float64, ["C", "W"])
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError("Q must be square")
-        _symmetrize_in_place(Q)
-        if float(Q.diagonal().min()) < -1e-10:
-            raise NumericalError("Q has a negative diagonal entry; not PSD")
+        if isinstance(self.Q, LowRank):
+            Q = _outer_in_panels(self.Q.V)
+        else:
+            Q = np.require(self.Q, np.float64, ["C", "W"])
+            if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+                raise ValueError("Q must be square")
+            _symmetrize_in_place(Q)
+            if float(Q.diagonal().min()) < -1e-10:
+                raise NumericalError("Q has a negative diagonal entry; not PSD")
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "upper", float(self.upper))

@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 from scipy.special import expit
 
 from gbtwin import model as md
+from gbtwin import qp
 from gbtwin.features import ACTIVATION_NAMES, SELU_ALPHA, SELU_LAMBDA
 from gbtwin.granular import (
     LLOYD_MAX_ITER,
@@ -420,6 +421,18 @@ def twin_planes_reference(X, y, d1, d2, delta):
     gamma, _ = enumerate_box_qp((Q2 + Q2.T) / 2.0, d2)
     u2 = np.linalg.solve(M2, F.T @ gamma)
     return u1, u2
+
+
+def explicit_q_plane_reference(near, far, upper, delta, qp_tol, qp_max_iter):
+    """``model._plane`` as it was before the dual was built from the ridge factor.
+
+    Forms ``Q = far G^-1 far'`` with one product and hands the explicit
+    matrix to ``BoxQP``, which checks and symmetrizes it in place.
+    """
+    gram = qp.ridge_factorize(near, delta)
+    q = far @ qp.solve_spd(gram, far.T)
+    sol = qp.solve_box_qp(qp.BoxQP(q, upper), tol=qp_tol, max_iter=qp_max_iter)
+    return qp.solve_spd(gram, far.T @ sol.alpha), sol
 
 
 def average_ranks_reference(scores):

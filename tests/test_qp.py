@@ -4,19 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
+from gbtwin import model as md
 from gbtwin import qp
-from gbtwin.dataset import Dataset, generate_ndc, inject_label_noise
-from gbtwin.model import ModelConfig, fit
+from gbtwin.dataset import Dataset, generate_ndc, inject_label_noise, split_train_test
+from gbtwin.model import ModelConfig, fit, predict
 from gbtwin.qp import (
     _TILE,
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
     BoxQP,
+    LowRank,
     NumericalError,
     kkt_residual,
     ridge_factorize,
     solve_box_qp,
     solve_spd,
+    whiten,
 )
 
 from _oracles import (
@@ -24,6 +27,7 @@ from _oracles import (
     cyclic_box_qp_reference,
     dense_grid_box_qp,
     enumerate_box_qp,
+    explicit_q_plane_reference,
     grid_box_qp,
     two_mask_sweeps_reference,
     two_scratch_tile_symmetrize_reference,
@@ -401,6 +405,101 @@ class TestBlockedValidation:
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * Q.nbytes
+
+
+class TestFactoredDual:
+    """``BoxQP(LowRank(V), upper)`` builds ``V V'`` in row panels of ``_TILE`` rows."""
+
+    C = 7
+    # one row, below one panel, an exact multiple of the panel, a partial last panel
+    SIZES = [1, _TILE - 5, 2 * _TILE, 2 * _TILE + 37]
+
+    def factor(self, k, seed=0):
+        return np.random.default_rng(seed).normal(size=(k, self.C))
+
+    @pytest.mark.parametrize("k", SIZES)
+    def test_exactly_symmetric_and_within_rounding_of_v_vt(self, k):
+        V = self.factor(k)
+        Q = BoxQP(LowRank(V), 1.0).Q
+        assert Q.shape == (k, k) and Q.flags.c_contiguous and not Q.flags.writeable
+        assert np.array_equal(Q, Q.T)
+        # each entry is a c-term dot product: both sides are within
+        # c * u * max|V_i|^2 of it, u = eps / 2
+        tol = self.C * np.finfo(np.float64).eps * float(np.einsum("ij,ij->i", V, V).max())
+        assert np.abs(Q - V @ V.T).max() <= tol
+
+    @pytest.mark.parametrize("k", SIZES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200, 1.5e154])
+    def test_bad_row_rejected_without_warning(self, k, value):
+        # 1e200 squares past the float range; 1.5e154 squares to 2.25e308,
+        # finite but above the finfo.max / 4 bound on |V_i|^2
+        V = self.factor(k, seed=1)
+        V[-1, -1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Q contains non-finite entries"):
+                BoxQP(LowRank(V), 1.0)
+
+    def test_rows_at_the_bound_keep_q_finite(self):
+        V = np.zeros((3, self.C))
+        V[:2, 0] = np.sqrt(np.finfo(np.float64).max / 4)
+        V[1, 0] *= -1.0
+        V[2] = 1.0
+        Q = BoxQP(LowRank(V), 1.0).Q
+        assert np.all(np.isfinite(Q)) and np.array_equal(Q, Q.T)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            BoxQP(LowRank(np.ones(3)), 1.0)
+        with pytest.raises(ValueError, match="3 columns"):
+            whiten(ridge_factorize(np.eye(3), 1.0), np.ones((4, 2)))
+
+    def test_peak_memory_stays_near_one_matrix(self):
+        # Q is allocated once and filled panel by panel; no k x k copy
+        k = 3000
+        V = self.factor(k, seed=2)
+        tracemalloc.start()
+        try:
+            BoxQP(LowRank(V), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * k * k
+
+    def test_whiten_factors_the_explicit_dual(self):
+        rng = np.random.default_rng(3)
+        near, far = rng.normal(size=(40, 6)), rng.normal(size=(30, 6))
+        g = ridge_factorize(near, 1e-3)
+        V = whiten(g, far)
+        np.testing.assert_allclose(V @ V.T, far @ solve_spd(g, far.T), rtol=1e-12, atol=1e-12)
+
+    def test_fit_with_huge_far_class_raises_without_warning(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 8))
+        y = np.repeat([1.0, -1.0], 20)
+        X[y < 0] *= 1e200
+        cfg = ModelConfig(granulate=False, feature_space="original", seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Q contains non-finite entries"):
+                fit(cfg, Dataset(X, y))
+
+    @pytest.mark.parametrize("granulate,space", [
+        (False, "original"),
+        (True, "original"),
+        (False, "enhanced"),
+    ])
+    def test_fit_matches_the_explicit_q_reference(self, monkeypatch, granulate, space):
+        # Q = V V' differs from far G^-1 far' in its last bits, so planes may
+        # differ within criterion 3's 1e-6; labels may not
+        data = inject_label_noise(generate_ndc(600, 5, 2, 2.0, seed=4), 0.05, seed=4)
+        pair = split_train_test(data, 0.7, seed=4)
+        cfg = ModelConfig(granulate=granulate, feature_space=space, seed=4, h=20, activation=3)
+        mdl = fit(cfg, pair.train)
+        monkeypatch.setattr(md, "_plane", explicit_q_plane_reference)
+        ref = fit(cfg, pair.train)
+        assert max(np.abs(mdl.u1 - ref.u1).max(), np.abs(mdl.u2 - ref.u2).max()) <= 1e-6
+        assert np.array_equal(predict(mdl, pair.test.features), predict(ref, pair.test.features))
 
 
 class TestOwnership:
