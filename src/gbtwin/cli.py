@@ -46,8 +46,7 @@ TWIN_VARIANTS = {
     "ef-gbtsvm": (True, "enhanced"),
 }
 BASELINE_VARIANTS = {"rvfl": True, "rvfl-wodl": False}  # value: direct links
-ABLATION_VARIANTS = tuple(TWIN_VARIANTS)
-COMPARE_VARIANTS = ABLATION_VARIANTS + tuple(BASELINE_VARIANTS)
+COMPARE_VARIANTS = tuple(TWIN_VARIANTS) + tuple(BASELINE_VARIANTS)
 
 
 class UsageError(Exception):
@@ -127,13 +126,20 @@ OPTIONS = {
     "config": (str, None, "key = value config file; flags override it"),
 }
 
+# model flag -> the ModelConfig field it sets; the keys are the model-flag group
+_MODEL_FIELDS = {
+    "eta": "eta", "d1": "d1", "d2": "d2", "delta": "delta", "hidden": "h",
+    "activation": "activation",
+}
+# the flags that say how to read a labelled CSV
+_CSV_FLAGS = ("has-header", "label-column", "positive-label")
+
 # command -> offered options, required options and the --variant choices
 COMMANDS: dict[str, dict] = {
     "train": {
         "options": [
-            "data", "out", "report", "seed", "variant", "eta", "d1", "d2",
-            "delta", "hidden", "activation", "ridge", "has-header",
-            "label-column", "positive-label", "config",
+            "data", "out", "report", "seed", "variant", *_MODEL_FIELDS, "ridge",
+            *_CSV_FLAGS, "config",
         ],
         "required": ["data", "out", "seed"],
         "choices": {"variant": COMPARE_VARIANTS},
@@ -145,17 +151,15 @@ COMMANDS: dict[str, dict] = {
     "gridsearch": {
         "options": [
             "data", "out", "csv", "seed", "variant", "eta", "delta", "folds",
-            "ratio", "grid-d", "grid-h", "grid-act", "has-header",
-            "label-column", "positive-label", "config",
+            "ratio", "grid-d", "grid-h", "grid-act", *_CSV_FLAGS, "config",
         ],
         "required": ["data", "out", "seed"],
         "choices": {"variant": tuple(TWIN_VARIANTS)},
     },
     "noise-sweep": {
         "options": [
-            "data", "out", "report", "seed", "variant", "eta", "d1", "d2",
-            "delta", "hidden", "activation", "ridge", "ratio", "has-header",
-            "label-column", "positive-label", "config",
+            "data", "out", "report", "seed", "variant", *_MODEL_FIELDS, "ridge",
+            "ratio", *_CSV_FLAGS, "config",
         ],
         "required": ["data", "out", "seed"],
         "choices": {"variant": COMPARE_VARIANTS},
@@ -167,25 +171,21 @@ COMMANDS: dict[str, dict] = {
     "scale-bench": {
         "options": [
             "out", "csv", "seed", "variant", "sizes", "m", "clusters",
-            "separability", "eta", "d1", "d2", "delta", "hidden", "activation",
-            "repeats", "config",
+            "separability", *_MODEL_FIELDS, "repeats", "config",
         ],
         "required": ["out", "seed"],
         "choices": {"variant": tuple(TWIN_VARIANTS)},
     },
     "compare": {
         "options": [
-            "data-dir", "out", "seed", "variants", "eta", "d1", "d2", "delta",
-            "hidden", "activation", "ridge", "ratio", "has-header",
-            "label-column", "positive-label", "config",
+            "data-dir", "out", "seed", "variants", *_MODEL_FIELDS, "ridge",
+            "ratio", *_CSV_FLAGS, "config",
         ],
         "required": ["data-dir", "out", "seed"],
     },
     "ablate": {
         "options": [
-            "data", "out", "seed", "eta", "d1", "d2", "delta", "hidden",
-            "activation", "ratio", "has-header", "label-column",
-            "positive-label", "config",
+            "data", "out", "seed", *_MODEL_FIELDS, "ratio", *_CSV_FLAGS, "config",
         ],
         "required": ["data", "out", "seed"],
     },
@@ -239,18 +239,10 @@ def _with_config_flags(argv: list[str]) -> list[str]:
 
 
 def _twin_config(opts: dict, variant: str, seed: int) -> md.ModelConfig:
+    """The variant's config from the model flags the command offers; the rest keep defaults."""
     granulate, space = TWIN_VARIANTS[variant]
-    return md.ModelConfig(
-        granulate=granulate,
-        feature_space=space,
-        seed=seed,
-        d1=opts["d1"],
-        d2=opts["d2"],
-        delta=opts["delta"],
-        eta=opts["eta"],
-        h=opts["hidden"],
-        activation=opts["activation"],
-    )
+    given = {field: opts[flag] for flag, field in _MODEL_FIELDS.items() if flag in opts}
+    return md.ModelConfig(granulate=granulate, feature_space=space, seed=seed, **given)
 
 
 def _fit_variant(variant: str, opts: dict, train, seed: int, normalization=None):
@@ -321,7 +313,7 @@ def cmd_train(opts: dict) -> int:
         "timings": {"fit_seconds": fit_seconds},
     }
     if isinstance(mdl, md.TwinModel):
-        report["diagnostics"] = md.serialize(mdl)["diagnostics"]
+        report["diagnostics"] = asdict(mdl.diagnostics)
     _write_report(opts, _report_path(opts), report)
     print(f"trained {opts['variant']}: train acc {metrics.acc:.4f}, "
           f"model -> {opts['out']}")
@@ -332,9 +324,7 @@ def cmd_predict(opts: dict) -> int:
     mdl = md.load_model(opts["model"])
     X = load_features_csv(opts["data"], has_header=opts["has-header"])
     labels = md.predict(mdl, X)
-    with open(opts["out"], "w", encoding="utf-8") as fh:
-        for y in labels:
-            fh.write(f"{int(y)}\n")
+    np.savetxt(opts["out"], labels, fmt="%d")
     print(f"predicted {len(labels)} rows -> {opts['out']}")
     return 0
 
@@ -353,13 +343,7 @@ def cmd_gridsearch(opts: dict) -> int:
     data = _load_dataset(opts["data"], opts)
     train, test = _normalized_split(data, opts, opts["seed"])
 
-    template = md.ModelConfig(
-        granulate=TWIN_VARIANTS[variant][0],
-        feature_space=TWIN_VARIANTS[variant][1],
-        seed=opts["seed"],
-        delta=opts["delta"],
-        eta=opts["eta"],
-    )
+    template = _twin_config(opts, variant, opts["seed"])
     grid = {
         "d": opts["grid-d"] or ev.D_GRID,
         "h": opts["grid-h"] or ev.H_GRID,
@@ -473,7 +457,7 @@ def cmd_ablate(opts: dict) -> int:
     data = _load_dataset(opts["data"], opts)
     train, test = _normalized_split(data, opts, opts["seed"])
     rows = []
-    for variant in ABLATION_VARIANTS:
+    for variant in TWIN_VARIANTS:
         mdl = _fit_variant(variant, opts, train, opts["seed"])
         metrics = ev.compute_metrics(test.labels, md.predict(mdl, test.features))
         rows.append({"variant": variant, **asdict(metrics)})

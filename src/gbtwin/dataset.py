@@ -182,7 +182,9 @@ def scale_minmax(X, lo, hi) -> np.ndarray:
     span = hi - lo
     safe = np.where(span > 0, span, 1.0)
     with np.errstate(over="ignore"):  # overflow gives inf; callers check finiteness
-        return (X - lo) / safe
+        out = X - lo
+        out /= safe  # in place, so only one temporary of X's size is held
+    return out
 
 
 def normalize_minmax(d: Dataset, ranges=None) -> Dataset:

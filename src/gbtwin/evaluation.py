@@ -226,8 +226,8 @@ def benchmark_fit(
 
     Each dataset is split 70/30, the model is fit ``repeats`` times on the
     training part (median time reported), and accuracy is measured on the
-    held-out part. ``k`` is the row count the dual solvers actually saw:
-    granular balls when granulating, otherwise training samples.
+    held-out part. ``k`` is the row count the dual solvers saw, as the fit
+    reports it: granular balls when granulating, otherwise training samples.
     """
     rows = []
     for d in datasets:
@@ -239,11 +239,10 @@ def benchmark_fit(
             mdl = fit(cfg, pair.train)
             times.append(time.perf_counter() - start)
         acc = compute_metrics(pair.test.labels, predict(mdl, pair.test.features)).acc
-        k = mdl.diagnostics.balls if cfg.granulate else pair.train.n
         rows.append(
             {
                 "n": d.n,
-                "k": int(k),
+                "k": mdl.diagnostics.k1 + mdl.diagnostics.k2,
                 "fit_seconds": float(np.median(times)),
                 "accuracy": acc,
             }

@@ -452,3 +452,66 @@ class TestExperimentCommands:
         assert rc["command"] == "noise-sweep"
         assert rc["variant"] == "tsvm" and rc["seed"] == 4
         assert "config" not in rc
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("delta", ["1e-20", "1e-30", "1e-300"])
+    def test_ridge_factorization_failure_is_numerical_failure(self, tmp_path, capsys, delta):
+        # three identical positive rows leave the near Gram singular at a tiny ridge
+        data = tmp_path / "dup.csv"
+        data.write_text("0.2,0.2,1\n" * 3 + "0.9,0.1,-1\n0.1,0.9,-1\n0.0,0.0,-1\n")
+        model = tmp_path / "m.json"
+        assert run("train", "--variant", "tsvm", "--delta", delta, "--data", data,
+                   "--seed", 1, "--out", model) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: ridge factorization failed")
+        assert not model.exists()
+
+    def test_bad_boolean_is_usage_error(self, tmp_path, blob_csv, capsys):
+        assert run("train", "--variant", "tsvm", "--data", blob_csv, "--seed", 1,
+                   "--out", tmp_path / "m.json", "--has-header=maybe") == 1
+        assert "cannot parse boolean value 'maybe'" in capsys.readouterr().err
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, blob_csv, capsys):
+        assert run("train", "--variant", "tsvm", "--data", blob_csv, "--seed", 1,
+                   "--out", tmp_path / "m.json", "--config", tmp_path / "none.cfg") == 1
+        assert "usage error: cannot read config file" in capsys.readouterr().err
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, blob_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# seeds\nseed 5\n")
+        assert run("train", "--variant", "tsvm", "--data", blob_csv,
+                   "--out", tmp_path / "m.json", "--config", cfg) == 1
+        assert "config line 2 is not 'key = value'" in capsys.readouterr().err
+
+    def test_compare_on_empty_directory_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "compare.json"
+        assert run("compare", "--data-dir", empty, "--seed", 1, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("data error: no CSV files in")
+        assert not out.exists()
+
+
+class TestModelFlagsReachTheConfig:
+    def test_train_saves_every_model_flag(self, tmp_path, blob_csv):
+        model = tmp_path / "m.json"
+        assert run("train", "--variant", "ef-gbtsvm", "--data", blob_csv, "--seed", 2,
+                   "--out", model, "--eta", 0.8, "--d1", 0.5, "--d2", 2.0,
+                   "--delta", 1e-3, "--hidden", 17, "--activation", 2) == 0
+        cfg = json.loads(model.read_text())["config"]
+        assert cfg == {"granulate": True, "feature_space": "enhanced", "seed": 2,
+                       "d1": 0.5, "d2": 2.0, "delta": 1e-3, "eta": 0.8, "h": 17,
+                       "activation": 2}
+
+    def test_gridsearch_keeps_defaults_for_flags_it_does_not_offer(self, tmp_path, blob_csv):
+        out = tmp_path / "grid.json"
+        assert run("gridsearch", "--variant", "tsvm", "--data", blob_csv, "--seed", 3,
+                   "--folds", 3, "--grid-d", "0.5", "--eta", 0.8, "--delta", 1e-3,
+                   "--out", out) == 0
+        best = read_report(out)["best_config"]
+        defaults = {f.name: f.default for f in fields(ModelConfig)}
+        assert (best["eta"], best["delta"]) == (0.8, 1e-3)
+        assert (best["d1"], best["d2"]) == (0.5, 0.5)  # the grid sets both
+        assert (best["h"], best["activation"]) == (defaults["h"], defaults["activation"])

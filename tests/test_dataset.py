@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from gbtwin.dataset import (
     load_features_csv,
     minmax_ranges,
     normalize_minmax,
+    scale_minmax,
     split_train_test,
     write_csv,
 )
@@ -180,6 +183,28 @@ class TestNormalize:
         once = normalize_minmax(d)
         twice = normalize_minmax(once)
         assert np.array_equal(once.features, twice.features)
+
+
+class TestScaleMinmax:
+    def test_same_bits_as_subtract_then_divide(self):
+        X = np.random.default_rng(3).normal(size=(50, 4)) * 100
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        hi[1] = lo[1]  # a constant column is only shifted
+        expected = (X - lo) / np.where(hi - lo > 0, hi - lo, 1.0)
+        assert np.array_equal(scale_minmax(X, lo, hi), expected)
+
+    def test_holds_one_matrix_beside_its_input(self):
+        # the result is the only temporary of X's size; subtracting and then
+        # dividing into a new array held two
+        X = np.random.default_rng(0).normal(size=(20000, 33))
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        tracemalloc.start()
+        try:
+            scale_minmax(X, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * X.nbytes
 
 
 class TestSplit:

@@ -287,6 +287,44 @@ class TestRvflBaseline:
             predict(mdl, np.array([[1e308, 1e308]]))
 
 
+class TestInputGuards:
+    @pytest.mark.parametrize("kw, message", [
+        (dict(feature_space="kernel"), "unknown feature space 'kernel'"),
+        (dict(d1=0.0), "d1, d2, and delta must all be positive"),
+        (dict(d2=-1.0), "d1, d2, and delta must all be positive"),
+        (dict(delta=0.0), "d1, d2, and delta must all be positive"),
+        (dict(eta=0.5), "eta must be in"),
+        (dict(feature_space="hidden", h=0), "hidden and enhanced spaces need h >= 1"),
+        (dict(feature_space="enhanced", activation=10), "activation index must be 1..9"),
+    ])
+    def test_model_config_rejects(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            plain_config(**kw)
+
+    @pytest.mark.parametrize("ridge", [0.0, -1.0])
+    def test_rvfl_non_positive_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be positive"):
+            fit_rvfl_baseline(5, 3, ridge=ridge, seed=0, train=make_blobs(20, seed=1))
+
+    def test_decision_values_takes_one_row(self):
+        mdl = manual_twin([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], m=2)
+        with pytest.raises(DataError, match="single sample row"):
+            decision_values(mdl, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_deserialize_unknown_kind(self):
+        doc = serialize(manual_twin([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], m=2))
+        doc["kind"] = "svm"
+        with pytest.raises(ValueError, match="unknown model kind 'svm'"):
+            deserialize(doc)
+
+    def test_granulated_fit_with_single_class_balls(self):
+        # 7 of 10 rows positive is pure enough at eta 0.6: one positive ball
+        X = np.arange(20.0).reshape(10, 2)
+        d = Dataset(X, np.array([1.0] * 7 + [-1.0] * 3))
+        with pytest.raises(DataError, match="single class among granular-ball labels"):
+            fit(plain_config(granulate=True, eta=0.6), d)
+
+
 class TestOverflowInFit:
     """A finite training row that overflows the hidden map is a DataError, and
     no overflow warning escapes first."""

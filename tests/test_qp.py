@@ -94,6 +94,21 @@ class TestRidgeFactorize:
                 fit(cfg, train)
 
 
+class TestInputGuards:
+    def test_non_square_q_rejected(self):
+        with pytest.raises(ValueError, match="Q must be square"):
+            BoxQP(np.ones((2, 3)), 1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_box_qp(BoxQP(np.eye(2), 1.0), tol=tol)
+
+    def test_one_dimensional_ridge_input_rejected(self):
+        with pytest.raises(ValueError, match="A must be a 2-D matrix"):
+            ridge_factorize(np.ones(3), 1.0)
+
+
 class TestSolveSpd:
     def test_diagonal_solve(self):
         g = ridge_factorize(np.eye(2), delta=1.0)  # gram = 2I
