@@ -18,16 +18,38 @@ class DataError(Exception):
     """Malformed input data or an operation that would corrupt a dataset."""
 
 
+def _read_only(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 array owning its data, else a read-only copy.
+
+    A writable array, or a view whose base someone may still write through,
+    is copied, so the caller's later writes cannot reach a Dataset.
+    """
+    if not (
+        type(a) is np.ndarray
+        and a.dtype == np.float64
+        and a.flags.owndata
+        and not a.flags.writeable
+    ):
+        a = np.array(a, dtype=np.float64, copy=True)
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled sample matrix with labels in {+1, -1}."""
+    """Labeled sample matrix with labels in {+1, -1}.
+
+    A read-only float64 array that owns its data is shared, not copied; any
+    other features or labels are copied into one. Either way the stored
+    arrays are read-only.
+    """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, copy=True)
-        labs = np.array(self.labels, dtype=np.float64, copy=True)
+        feats = _read_only(self.features)
+        labs = _read_only(self.labels)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise DataError("features must be a non-empty 2-D matrix")
         if labs.shape != (feats.shape[0],):
@@ -38,8 +60,6 @@ class Dataset:
             raise DataError("features contain non-finite values")
         if not np.all((labs == 1.0) | (labs == -1.0)):
             raise DataError("labels must be exactly +1 or -1")
-        feats.setflags(write=False)
-        labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -65,7 +85,10 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset by an integer index array or a boolean row mask."""
         idx = np.asarray(indices)
-        return Dataset(self.features[idx], self.labels[idx])
+        rows = self.features[idx], self.labels[idx]
+        for a in rows:  # fresh arrays, handed over rather than copied
+            a.setflags(write=False)
+        return Dataset(*rows)
 
 
 @dataclass(frozen=True)
@@ -197,7 +220,9 @@ def normalize_minmax(d: Dataset, ranges=None) -> Dataset:
         lo, hi = minmax_ranges(d)
     else:
         lo, hi = np.asarray(ranges[0], float), np.asarray(ranges[1], float)
-    return Dataset(scale_minmax(d.features, lo, hi), d.labels)
+    scaled = scale_minmax(d.features, lo, hi)
+    scaled.setflags(write=False)  # nothing else holds it, so Dataset shares it
+    return Dataset(scaled, d.labels)
 
 
 def split_train_test(d: Dataset, ratio: float, seed: int) -> SplitPair:
@@ -224,6 +249,7 @@ def inject_label_noise(d: Dataset, rate: float, seed: int) -> Dataset:
     if count:
         idx = np.random.default_rng(seed).choice(d.n, size=count, replace=False)
         labs[idx] = -labs[idx]
+    labs.setflags(write=False)
     return Dataset(d.features, labs)
 
 

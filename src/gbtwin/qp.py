@@ -17,10 +17,18 @@ rather than Q. Handed an explicit matrix, ``BoxQP`` owns it: a writable
 C-ordered float64 array is checked and symmetrized in place, halving both
 triangles before adding them, so any finite Q stays finite. Either way a
 dual holds one p x p matrix, not two.
+
+The row panels of ``V V'`` write disjoint parts of Q, so they are also the
+unit of parallel work: a Q of ``_THREADED_Q_BYTES`` (32 MiB, p >= 2048) or
+more is built on a thread pool with one thread per CPU in the process's
+affinity mask, with the same bits as the serial loop that builds every
+smaller Q.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +41,15 @@ DEFAULT_DELTA = 1e-5
 # 6951 x 6951 Q (2 cores, one BLAS thread) 128 ran a few percent faster than
 # 192 or 256 and clearly faster than 64. It is also the height of the row
 # panels V V' is built in: on a 7000 x 34 V, 128 to 512 rows were within
-# noise of each other and 64 rows about 15% slower.
+# noise of each other and 64 rows about 15% slower. A panel is also the unit
+# of work handed to a thread when V V' is built in parallel.
 _TILE = 128
+# a Q of at least this many bytes (p >= 2048) is built on every usable CPU.
+# On 2 cores with one BLAS thread and c = 34 (medians of alternating builds),
+# 2 threads lost below it (p 1024: 3.0 ms against 2.4 ms serial), broke even
+# at it (11.5 ms against 11.8 ms) and won above it (p 3000: 22 ms against
+# 31 ms; p 6951: 0.13 s against 0.22 s)
+_THREADED_Q_BYTES = 32 << 20
 # a row of V with |V_i|^2 below this bound keeps every entry of V V' finite
 _ROW_NORM_SQ_MAX = np.finfo(np.float64).max / 4
 
@@ -110,8 +125,13 @@ def _outer_in_panels(V):
 
     Each panel is one product into the upper triangle, its diagonal block
     and the rest of its columns mirrored into the lower, so the result is
-    exactly symmetric and holds the bits of the upper triangle. A V that is
-    non-finite, or whose largest squared row norm passes
+    exactly symmetric and holds the bits of the upper triangle. Panel ``s``
+    writes only ``Q[s:e, s:]`` and ``Q[e:, s:e]``, so panels do not depend on
+    each other: a Q of ``_THREADED_Q_BYTES`` or more is built on a pool of
+    one thread per CPU the process may use (at most one per panel), which
+    takes the panels in order as each thread frees up and is shut down
+    before this returns. The bits do not depend on the thread count. A V
+    that is non-finite, or whose largest squared row norm passes
     ``_ROW_NORM_SQ_MAX``, is rejected before Q is allocated: that bound also
     bounds every |Q_ij|, so no product overflows.
     """
@@ -124,12 +144,29 @@ def _outer_in_panels(V):
         raise NumericalError("Q contains non-finite entries")
     p = V.shape[0]
     Q = np.empty((p, p))
-    for s in range(0, p, _TILE):
+
+    def panel(s):
+        # numpy calls only, each of which releases the GIL
         e = min(s + _TILE, p)
         np.matmul(V[s:e], V[s:].T, out=Q[s:e, s:])
         block = Q[s:e, s:e]
         np.copyto(block, block.T, where=np.tri(e - s, k=-1, dtype=bool))
         Q[e:, s:e] = Q[s:e, e:].T
+
+    starts = range(0, p, _TILE)
+    workers = 1
+    if Q.nbytes >= _THREADED_Q_BYTES:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        workers = min(cpus, len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(panel, starts))  # re-raises a worker's exception
+    else:
+        for s in starts:
+            panel(s)
     return Q
 
 

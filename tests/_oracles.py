@@ -260,6 +260,24 @@ def two_scratch_tile_symmetrize_reference(Q):
         raise NumericalError("Q is not symmetric")
 
 
+def serial_panel_outer_reference(V):
+    """``V V'`` in row panels of ``_TILE`` rows, one panel after another.
+
+    The loop body of ``qp._outer_in_panels`` before panels ran on threads,
+    kept verbatim (V is a finite C-ordered float64 p x c matrix): the bits
+    any thread count must reproduce.
+    """
+    p = V.shape[0]
+    Q = np.empty((p, p))
+    for s in range(0, p, _TILE):
+        e = min(s + _TILE, p)
+        np.matmul(V[s:e], V[s:].T, out=Q[s:e, s:])
+        block = Q[s:e, s:e]
+        np.copyto(block, block.T, where=np.tri(e - s, k=-1, dtype=bool))
+        Q[e:, s:e] = Q[s:e, e:].T
+    return Q
+
+
 def min_sse_bipartition(X):
     """Exhaustive minimum within-cluster SSE over all 2-partitions.
 

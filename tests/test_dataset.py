@@ -132,6 +132,41 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             d.features[0, 0] = 5.0
 
+    def test_caller_writes_do_not_reach_the_dataset(self):
+        feats, labs = np.ones((3, 2)), np.array([1.0, -1.0, 1.0])
+        base = np.ones((3, 2))
+        view = base[:]
+        view.setflags(write=False)  # read-only, but base can still write it
+        d, e = Dataset(feats, labs), Dataset(view, labs)
+        feats[0, 0], labs[0], base[0, 0] = 5.0, -1.0, 5.0
+        assert np.array_equal(d.features, np.ones((3, 2)))
+        assert np.array_equal(d.labels, [1.0, -1.0, 1.0])
+        assert np.array_equal(e.features, np.ones((3, 2)))
+
+    def test_read_only_owned_arrays_are_shared(self):
+        feats, labs = np.ones((3, 2)), np.array([1.0, -1.0, 1.0])
+        feats.setflags(write=False)
+        labs.setflags(write=False)
+        d = Dataset(feats, labs)
+        assert d.features is feats and d.labels is labs
+        noisy = inject_label_noise(d, 0.5, seed=0)
+        assert noisy.features is feats and not noisy.labels.flags.writeable
+        assert not d.take([0, 2]).features.flags.writeable
+
+    def test_normalize_minmax_holds_one_scaled_matrix(self):
+        # one 20000 x 33 matrix is 5.28 MB: tracemalloc peaked at 11.38 MB when
+        # Dataset copied normalize_minmax's result, and at 5.94 MB sharing it
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.normal(size=(20000, 33)), np.where(rng.random(20000) < 0.5, 1.0, -1.0))
+        tracemalloc.start()
+        try:
+            out = normalize_minmax(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * d.features.nbytes
+        assert not out.features.flags.writeable
+
     def test_take_by_mask_matches_take_by_indices(self):
         d = Dataset(np.arange(8.0).reshape(4, 2), np.array([1.0, -1.0, -1.0, 1.0]))
         mask = np.array([True, False, True, True])

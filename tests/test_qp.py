@@ -1,5 +1,8 @@
+import os
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from gbtwin import qp
 from gbtwin.dataset import Dataset, generate_ndc, inject_label_noise, split_train_test
 from gbtwin.model import ModelConfig, fit, predict
 from gbtwin.qp import (
+    _THREADED_Q_BYTES,
     _TILE,
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
@@ -29,6 +33,7 @@ from _oracles import (
     enumerate_box_qp,
     explicit_q_plane_reference,
     grid_box_qp,
+    serial_panel_outer_reference,
     two_mask_sweeps_reference,
     two_scratch_tile_symmetrize_reference,
 )
@@ -515,6 +520,69 @@ class TestFactoredDual:
         ref = fit(cfg, pair.train)
         assert max(np.abs(mdl.u1 - ref.u1).max(), np.abs(mdl.u2 - ref.u2).max()) <= 1e-6
         assert np.array_equal(predict(mdl, pair.test.features), predict(ref, pair.test.features))
+
+
+def set_cpus(monkeypatch, n):
+    """Make the process see ``n`` usable CPUs, through either query qp may make."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+class TestThreadedPanels:
+    """Panels of a Q of ``_THREADED_Q_BYTES`` or more run on a thread pool."""
+
+    # below, at and above the threading bound (p = 2048) and around a panel
+    SIZES = [1, _TILE - 1, _TILE, _TILE + 1, 2047, 2048, 2049, 3000]
+
+    def test_bound_is_p_2048(self):
+        assert 8 * 2047**2 < _THREADED_Q_BYTES <= 8 * 2048**2
+
+    @pytest.mark.parametrize("c", [1, 34, 237])
+    @pytest.mark.parametrize("p", SIZES)
+    # None: the CPUs this process may use; 3: more threads than a 2-CPU host has
+    @pytest.mark.parametrize("cpus", [None, 3])
+    def test_same_bits_as_the_serial_loop(self, monkeypatch, cpus, p, c):
+        if cpus is not None:
+            set_cpus(monkeypatch, cpus)
+        V = np.random.default_rng(p + c).normal(size=(p, c))
+        Q = qp._outer_in_panels(V)
+        assert Q.tobytes() == serial_panel_outer_reference(V).tobytes()
+        assert np.array_equal(Q, Q.T)
+
+    def test_no_thread_outlives_the_build(self):
+        V = np.random.default_rng(0).normal(size=(2100, 5))
+        before = threading.active_count()
+        BoxQP(LowRank(V), 1.0)
+        assert threading.active_count() == before
+
+    # one CPU above the bound; three CPUs just below it
+    @pytest.mark.parametrize("cpus,p", [(1, 2100), (3, 2047)])
+    def test_serial_build_starts_no_thread(self, monkeypatch, cpus, p):
+        set_cpus(monkeypatch, cpus)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        V = np.random.default_rng(1).normal(size=(p, 34))
+        Q = BoxQP(LowRank(V), 1.0).Q
+        assert started == []
+        assert Q.tobytes() == serial_panel_outer_reference(V).tobytes()
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (64, 17)])
+    def test_one_thread_per_cpu_and_at_most_one_per_panel(self, monkeypatch, cpus, workers):
+        # a 2100-row V has 17 panels
+        set_cpus(monkeypatch, cpus)
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(qp, "ThreadPoolExecutor", Pool)
+        V = np.random.default_rng(2).normal(size=(2100, 3))
+        Q = BoxQP(LowRank(V), 1.0).Q
+        assert pools == [workers]
+        assert Q.tobytes() == serial_panel_outer_reference(V).tobytes()
 
 
 class TestOwnership:
