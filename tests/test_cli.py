@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gbtwin
+from gbtwin import qp
 from gbtwin.cli import COMMANDS, HANDLERS, OPTIONS, main
 from gbtwin.dataset import generate_ndc, write_csv
 from gbtwin.evaluation import nemenyi_cd, read_report
@@ -466,6 +467,20 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("numerical failure: ridge factorization failed")
+        assert not model.exists()
+
+    def test_dual_larger_than_memory_is_numerical_failure(
+        self, tmp_path, blob_csv, capsys, monkeypatch
+    ):
+        # the limit is lowered so that no dual fits; nothing large is allocated
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
+        model = tmp_path / "m.json"
+        assert run("train", "--variant", "tsvm", "--data", blob_csv, "--seed", 1,
+                   "--out", model) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: the ")
+        assert err[0].endswith("more than the 8 bytes of physical memory")
         assert not model.exists()
 
     def test_bad_boolean_is_usage_error(self, tmp_path, blob_csv, capsys):

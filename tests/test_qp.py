@@ -375,6 +375,157 @@ class TestOneCoordinateRule:
         assert np.isnan(residual)
 
 
+class TestNewtonSteps:
+    """A ``LowRank(V)`` dual with V p x c, p <= c, takes projected Newton steps."""
+
+    @staticmethod
+    def full_rank_dual(rng, p, upper):
+        # V = A' with A (p + 1) x p: Q = A'A, the matrices of random_psd
+        return BoxQP(LowRank(rng.normal(size=(p + 1, p)).T), upper)
+
+    def test_matches_enumeration_oracle(self):
+        rng = np.random.default_rng(17)
+        for i in range(30):
+            p = int(rng.integers(1, 7))
+            upper = (0.1, 1.0, 10.0)[i % 3]
+            q = self.full_rank_dual(rng, p, upper)
+            assert q.full_rank
+            sol = solve_box_qp(q)
+            _, best = enumerate_box_qp(q.Q, upper)
+            assert box_qp_value(q.Q, upper, sol.alpha) == pytest.approx(best, abs=1e-8)
+            assert sol.converged and sol.kkt_residual <= 1e-6
+
+    def test_matches_zoom_grid_oracle(self):
+        rng = np.random.default_rng(18)
+        for i in range(10):
+            p = int(rng.integers(2, 7))
+            upper = (0.1, 1.0, 10.0)[i % 3]
+            q = self.full_rank_dual(rng, p, upper)
+            sol = solve_box_qp(q)
+            _, best = grid_box_qp(q.Q, upper)
+            assert abs(box_qp_value(q.Q, upper, sol.alpha) - best) <= 1e-4
+
+    def test_alphas_agree_with_the_sweeps(self):
+        # the bound of TestShrinkingAgainstReference::test_full_rank_alphas_agree
+        rng = np.random.default_rng(19)
+        for i in range(20):
+            p = int(rng.integers(1, 7))
+            upper = (0.1, 1.0, 10.0)[i % 3]
+            q = self.full_rank_dual(rng, p, upper)
+            sol = solve_box_qp(q)
+            ref_alpha, _, _ = cyclic_box_qp_reference(q.Q, upper, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+            bound = 2.0 * np.sqrt(p) * DEFAULT_TOL / np.linalg.eigvalsh(q.Q).min()
+            assert np.abs(sol.alpha - ref_alpha).max() <= bound
+
+    def test_one_iteration_is_one_plain_sweep(self):
+        V = np.random.default_rng(9).normal(size=(8, 9))
+        q = BoxQP(LowRank(V), 10.0)
+        assert q.full_rank
+        sol = solve_box_qp(q, tol=1e-14, max_iter=1)
+        ref_alpha, ref_sweeps, ref_residual = two_mask_sweeps_reference(q.Q, q.upper, 1e-14, 1)
+        assert np.array_equal(sol.alpha, ref_alpha)
+        assert sol.iterations == ref_sweeps == 1 and sol.kkt_residual == ref_residual
+        assert not sol.converged
+
+    def test_monotone_ascent_across_iterations(self):
+        # a clipped Newton point can lie below the current one; it is not kept
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(2, 12))
+            V = rng.normal(loc=rng.choice([0.0, 1.0]), size=(p, p + int(rng.integers(0, 4))))
+            upper = float(rng.choice([0.01, 0.1, 1.0, 10.0]))
+            q = BoxQP(LowRank(V), upper)
+            prev = -np.inf
+            for iterations in range(1, 15):
+                sol = solve_box_qp(q, tol=1e-16, max_iter=iterations)
+                value = box_qp_value(q.Q, upper, sol.alpha)
+                assert value >= prev - 1e-12
+                prev = value
+
+    def test_singular_free_block_falls_back_to_the_sweeps(self, monkeypatch):
+        # duplicate rows of V make Q singular, so Cholesky refuses the free block
+        V = np.random.default_rng(2).normal(loc=1.0, size=(6, 10))
+        V[4], V[5] = V[1], V[2]
+        refused, solves = [], []
+        factorize, solve = qp.dpotrf, qp.dpotrs
+
+        def factor_spy(a, lower):
+            factor, info = factorize(a, lower=lower)
+            refused.append(info != 0)
+            return factor, info
+
+        def solve_spy(factor, rhs, lower):
+            solves.append(1)
+            return solve(factor, rhs, lower=lower)
+
+        monkeypatch.setattr(qp, "dpotrf", factor_spy)
+        monkeypatch.setattr(qp, "dpotrs", solve_spy)
+        q = BoxQP(LowRank(V), 10.0)
+        sol = solve_box_qp(q)
+        assert q.full_rank and any(refused)
+        assert len(solves) == refused.count(False)  # a refused factor is never used
+        assert sol.converged and kkt_residual(q, sol.alpha) <= DEFAULT_TOL
+        _, best = enumerate_box_qp(q.Q, q.upper)
+        assert box_qp_value(q.Q, q.upper, sol.alpha) == pytest.approx(best, abs=1e-8)
+
+    def test_newton_only_when_p_at_most_c(self, monkeypatch):
+        steps = []
+        step = qp._newton_step
+        monkeypatch.setattr(qp, "_newton_step", lambda *a: steps.append(1) or step(*a))
+        rng = np.random.default_rng(21)
+        square = BoxQP(LowRank(rng.normal(loc=1.0, size=(12, 12))), 1.0)
+        assert square.full_rank
+        assert solve_box_qp(square).converged and steps
+        steps.clear()
+        tall = BoxQP(LowRank(rng.normal(loc=1.0, size=(13, 12))), 1.0)
+        explicit = BoxQP(square.Q.copy(), 1.0)
+        for q in (tall, explicit):
+            assert not q.full_rank
+            sol = solve_box_qp(q)
+            ref_alpha, ref_sweeps, ref_residual = two_mask_sweeps_reference(
+                q.Q, q.upper, DEFAULT_TOL, DEFAULT_MAX_SWEEPS
+            )
+            assert np.array_equal(sol.alpha, ref_alpha)
+            assert sol.iterations == ref_sweeps and sol.kkt_residual == ref_residual
+        assert steps == []
+
+    def test_far_fewer_iterations_than_the_sweeps(self):
+        # rows shifted to one side, as in a twin dual, slow the sweeps down
+        V = np.random.default_rng(20).normal(loc=1.0, size=(20, 60))
+        q = BoxQP(LowRank(V), 1.0)
+        sol = solve_box_qp(q)
+        _, ref_sweeps, _ = two_mask_sweeps_reference(q.Q, q.upper, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+        assert sol.converged and kkt_residual(q, sol.alpha) <= DEFAULT_TOL
+        assert 4 * sol.iterations <= ref_sweeps
+
+
+class TestMemoryGuard:
+    """A ``LowRank`` dual whose p x p matrix exceeds physical memory is refused."""
+
+    def test_refused_before_allocation(self, monkeypatch):
+        p = 300
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8 * p * p - 1)
+        V = np.random.default_rng(0).normal(size=(p, 5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match=f"{p} x {p} dual matrix needs {8 * p * p} bytes"):
+                BoxQP(LowRank(V), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * p * p
+
+    def test_q_that_fits_is_built(self, monkeypatch):
+        p = 300
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8 * p * p)
+        V = np.random.default_rng(0).normal(size=(p, 5))
+        assert BoxQP(LowRank(V), 1.0).Q.tobytes() == serial_panel_outer_reference(V).tobytes()
+
+    def test_physical_memory_is_read_or_unknown(self):
+        limit = qp._physical_memory_bytes()
+        assert limit is None or limit > 0
+
+
 class TestBlockedValidation:
     """BoxQP checks and symmetrizes Q tile by tile; p is no multiple of a tile."""
 
