@@ -197,19 +197,12 @@ def grid_search_cv(
         }
         for cfg, fold_accs in zip(cfgs, accs)
     ]
-    scored = [r for r in table if not np.isnan(r["mean_acc"])]
+    scored = [i for i, r in enumerate(table) if not np.isnan(r["mean_acc"])]
     if not scored:
         raise DataError("every grid combination was skipped; dataset too degenerate")
-    best = min(scored, key=lambda r: (-r["mean_acc"], r["d"], r["h"], r["activation"]))
-    best_cfg = replace(
-        template,
-        d1=best["d"],
-        d2=best["d"],
-        h=best["h"],
-        activation=best["activation"],
-        seed=best["seed"],
-    )
-    return best_cfg, table
+    best = min(scored, key=lambda i: (-table[i]["mean_acc"], table[i]["d"], table[i]["h"],
+                                      table[i]["activation"]))
+    return replace(cfgs[best], granulate=template.granulate), table
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +226,6 @@ def benchmark_fit(
     for d in datasets:
         pair = split_train_test(d, 0.7, cfg.seed)
         times = []
-        mdl = None
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
             mdl = fit(cfg, pair.train)

@@ -52,8 +52,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.feature_space not in ft.SPACES:
             raise ValueError(f"unknown feature space {self.feature_space!r}")
-        if self.d1 <= 0 or self.d2 <= 0 or self.delta <= 0:
-            raise ValueError("d1, d2, and delta must all be positive")
+        if not all(0 < v < np.inf for v in (self.d1, self.d2, self.delta)):
+            raise ValueError("d1, d2, and delta must all be positive and finite")
         if not 0.5 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0.5, 1], got {self.eta}")
         if self.feature_space != "original":
@@ -173,15 +173,13 @@ def fit(
     if cfg.feature_space != "original":
         layer = ft.init_random_layer(train.m, cfg.h, cfg.activation, cfg.seed)
     mapped = _map_rows(cfg.feature_space, layer, rows)
-
+    mapped = np.hstack([mapped, np.ones((mapped.shape[0], 1))])
     pos = mapped[labels > 0]
     neg = mapped[labels < 0]
-    aug_pos = np.hstack([pos, np.ones((pos.shape[0], 1))])
-    aug_neg = np.hstack([neg, np.ones((neg.shape[0], 1))])
 
-    u1, sol1 = _plane(aug_pos, aug_neg, cfg.d1, cfg.delta, qp_tol, qp_max_iter)
+    u1, sol1 = _plane(pos, neg, cfg.d1, cfg.delta, qp_tol, qp_max_iter)
     u1 = -u1
-    u2, sol2 = _plane(aug_neg, aug_pos, cfg.d2, cfg.delta, qp_tol, qp_max_iter)
+    u2, sol2 = _plane(neg, pos, cfg.d2, cfg.delta, qp_tol, qp_max_iter)
 
     if np.linalg.norm(u1[:-1]) <= ZERO_NORMAL_TOL or np.linalg.norm(u2[:-1]) <= ZERO_NORMAL_TOL:
         raise FitError(
@@ -300,8 +298,8 @@ def fit_rvfl_baseline(
     otherwise on the hidden block alone. Prediction takes the sign of the
     fitted linear score.
     """
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
+    if not 0 < ridge < np.inf:
+        raise ValueError(f"ridge must be positive and finite, got {ridge}")
     if not train.has_both_classes:
         raise DataError("single class in training data; both classes are required")
     layer = ft.init_random_layer(train.m, h, activation, seed)

@@ -84,8 +84,8 @@ def ridge_factorize(A, delta: float) -> RidgeGram:
         raise ValueError("A must be a 2-D matrix")
     if not np.all(np.isfinite(A)):
         raise NumericalError("cannot factorize a matrix with non-finite entries")
-    if delta <= 0:
-        raise ValueError(f"ridge delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"ridge delta must be positive and finite, got {delta}")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = A.T @ A + delta * np.eye(A.shape[1])
     if not np.all(np.isfinite(gram)):
@@ -200,34 +200,26 @@ def _symmetrize_in_place(Q):
 
     One pass reads Q in square tiles, each tile on or above the diagonal
     against a halved copy of its transposed mirror, writes the mean into the
-    tile and its transpose into the mirror. The halved mirror and the
-    difference go to two scratch tiles allocated once per pass. Halving
-    before adding keeps every finite entry finite; for normal floats the mean
-    has the bits of ``(Q + Q') / 2``, a subnormal one may differ in its last
-    bit. Q is symmetric when ``max|Q - Q'| <= 1e-8 * max(1, max|Q|)``, tested
-    on the halves; after a ``NumericalError`` the contents of Q are
-    unspecified.
+    tile and its transpose into the mirror. Halving before adding keeps every
+    finite entry finite; for normal floats the mean has the bits of
+    ``(Q + Q') / 2``, a subnormal one may differ in its last bit. Q is
+    symmetric when ``max|Q - Q'| <= 1e-8 * max(1, max|Q|)``, tested on the
+    halves; after a ``NumericalError`` the contents of Q are unspecified.
     """
     p = Q.shape[0]
-    n = min(_TILE, p)
-    # C-ordered: an F-ordered mirror made the pass ~30% slower
-    mirror_buf = np.empty((n, n))
-    diff_buf = np.empty((n, n))
     half_scale, half_asym = 0.5, 0.0
     for s in range(0, p, _TILE):
         for t in range(s, p, _TILE):
             a = Q[s : s + _TILE, t : t + _TILE]
-            h, w = a.shape
-            b = mirror_buf[:h, :w]
-            np.multiply(Q[t : t + w, s : s + h].T, 0.5, out=b)
+            # C-ordered: an F-ordered mirror made the pass ~30% slower
+            b = np.multiply(Q[t : t + _TILE, s : s + _TILE].T, 0.5, order="C")
             a *= 0.5
             hi = np.maximum(a.max(), b.max())
             lo = np.minimum(a.min(), b.min())
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise NumericalError("Q contains non-finite entries")
             half_scale = max(half_scale, hi, -lo)
-            diff = diff_buf[:h, :w]
-            np.subtract(a, b, out=diff)
+            diff = a - b
             half_asym = max(half_asym, diff.max(), -diff.min())
             a += b
             if t > s:
@@ -267,8 +259,8 @@ class BoxQP:
     full_rank: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if self.upper <= 0:
-            raise ValueError(f"box bound must be positive, got {self.upper}")
+        if not 0 < self.upper < np.inf:
+            raise ValueError(f"box bound must be positive and finite, got {self.upper}")
         if isinstance(self.Q, LowRank):
             Q = _outer_in_panels(self.Q.V)
             object.__setattr__(self, "full_rank", Q.shape[0] <= self.Q.V.shape[1])
@@ -371,8 +363,8 @@ def solve_box_qp(
     residual of a fresh gradient drops to ``tol`` or after ``max_iter``
     iterations; non-convergence is reported through the result, not raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     Q, upper = q.Q, q.upper
     diag = Q.diagonal().tolist()
     alpha = np.zeros(q.p)

@@ -509,6 +509,38 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("variant, flag, value", [
+        ("tsvm", "--d1", "nan"), ("tsvm", "--d1", "inf"), ("tsvm", "--d2", "nan"),
+        ("tsvm", "--delta", "inf"), ("tsvm", "--delta", "nan"), ("rvfl", "--ridge", "nan"),
+        ("rvfl", "--ridge", "inf"),
+    ])
+    def test_train_is_usage_error(self, tmp_path, blob_csv, capsys, variant, flag, value):
+        model = tmp_path / "m.json"
+        assert run("train", "--variant", variant, "--data", blob_csv, "--seed", 1,
+                   "--out", model, flag, value) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error: ") and "positive and finite" in err[0]
+        assert not model.exists()
+
+    def test_predict_refuses_a_model_with_a_nan_penalty(self, tmp_path, blob_csv, capsys):
+        model = tmp_path / "m.json"
+        assert run("train", "--variant", "tsvm", "--data", blob_csv, "--seed", 1,
+                   "--out", model) == 0
+        doc = json.loads(model.read_text())
+        doc["config"]["d1"] = float("nan")
+        model.write_text(json.dumps(doc))
+        feats = tmp_path / "f.csv"
+        np.savetxt(feats, generate_ndc(10, 3, 2, 5.0, seed=4).features, delimiter=",")
+        out = tmp_path / "y.csv"
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--data", feats, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not out.exists()
+
+
 class TestModelFlagsReachTheConfig:
     def test_train_saves_every_model_flag(self, tmp_path, blob_csv):
         model = tmp_path / "m.json"

@@ -260,6 +260,19 @@ class TestGridSearch:
         assert table == expected
         assert len({r["mean_acc"] for r in table}) > 1
 
+    def test_best_config_is_the_winning_record_on_the_template(self):
+        d = make_blobs(90, seed=5, spread=1.2, distance=2.0)
+        template = ModelConfig(granulate=True, feature_space="enhanced", seed=0,
+                               eta=0.95, delta=1e-3)
+        grid = {"d": [0.1, 10.0], "h": [3, 8], "activation": [2, 3]}
+        best, table = grid_search_cv(d, template, folds=3, grid=grid, seed=6)
+        win = min(table, key=lambda r: (-r["mean_acc"], r["d"], r["h"], r["activation"]))
+        assert win is not table[0]  # the seed and combination differ from the first
+        assert (best.d1, best.d2, best.h, best.activation, best.seed) == (
+            win["d"], win["d"], win["h"], win["activation"], win["seed"])
+        assert (best.granulate, best.feature_space, best.eta, best.delta) == (
+            True, "enhanced", 0.95, 1e-3)
+
     def test_grid_must_be_nonempty(self):
         d = make_blobs(40, seed=4)
         template = ModelConfig(granulate=False, feature_space="original", seed=0)

@@ -325,6 +325,21 @@ class TestInputGuards:
             fit(plain_config(granulate=True, eta=0.6), d)
 
 
+class TestNonFiniteConfigDocument:
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["d1", "d2", "delta"])
+    def test_load_rejects_it(self, tmp_path, key, value):
+        # json writes and reads NaN and Infinity, which are not standard JSON
+        path = tmp_path / "m.json"
+        save_model(manual_twin([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], m=2), path)
+        doc = json.loads(path.read_text())
+        doc["config"][key] = float(value)
+        path.write_text(json.dumps(doc))
+        assert value in path.read_text()
+        with pytest.raises(ValueError, match="d1, d2, and delta must all be positive and finite"):
+            load_model(path)
+
+
 class TestOverflowInFit:
     """A finite training row that overflows the hidden map is a DataError, and
     no overflow warning escapes first."""

@@ -114,6 +114,38 @@ class TestInputGuards:
             ridge_factorize(np.ones(3), 1.0)
 
 
+def _plain_config(**kw):
+    return ModelConfig(granulate=False, feature_space="original", seed=0, **kw)
+
+
+_CONFIG_MESSAGE = "d1, d2, and delta must all be positive and finite"
+# each solver parameter that must be finite and positive -> (a call taking
+# its value, the rejection's message)
+_FINITE_PARAMETERS = {
+    "ModelConfig.d1": (lambda v: _plain_config(d1=v), _CONFIG_MESSAGE),
+    "ModelConfig.d2": (lambda v: _plain_config(d2=v), _CONFIG_MESSAGE),
+    "ModelConfig.delta": (lambda v: _plain_config(delta=v), _CONFIG_MESSAGE),
+    "BoxQP.upper": (lambda v: BoxQP(np.eye(2), v), "box bound must be positive and finite"),
+    "ridge_factorize.delta": (lambda v: ridge_factorize(np.eye(3), v),
+                              "ridge delta must be positive and finite"),
+    "fit_rvfl_baseline.ridge": (lambda v: md.fit_rvfl_baseline(
+        5, 3, v, 0, generate_ndc(40, 3, 2, 5.0, seed=1)), "ridge must be positive and finite"),
+    "solve_box_qp.tol": (lambda v: solve_box_qp(BoxQP(np.eye(2), 1.0), tol=v),
+                         "tol must be positive and finite"),
+}
+
+
+class TestNonFiniteParameters:
+    """NaN passes an ``x <= 0`` check and infinity is positive; both are refused."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", list(_FINITE_PARAMETERS))
+    def test_rejected(self, entry, value):
+        call, message = _FINITE_PARAMETERS[entry]
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+
 class TestSolveSpd:
     def test_diagonal_solve(self):
         g = ridge_factorize(np.eye(2), delta=1.0)  # gram = 2I
