@@ -265,8 +265,8 @@ def generate_ndc(
     """
     if n < 2 or m < 1 or n_clusters < 1:
         raise ValueError("need n >= 2, m >= 1, n_clusters >= 1")
-    if separability < 0:
-        raise ValueError("separability must be non-negative")
+    if not 0 <= separability < math.inf:
+        raise ValueError("separability must be non-negative and finite")
     rng = np.random.default_rng(seed)
     means = rng.uniform(-1.0, 1.0, size=(n_clusters, m))
     scales = rng.uniform(0.05, 0.2, size=n_clusters)

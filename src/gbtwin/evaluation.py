@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
+import math
+import multiprocessing
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import qp
 from .dataset import DataError, Dataset, kfold_indices, split_train_test
 from .model import ModelConfig, ball_centers, fit, predict
 from .seeding import derive_seed
@@ -136,6 +140,64 @@ def grid_combinations(grid: dict | None = None) -> list[tuple[float, int, int]]:
     ]
 
 
+# (cfgs, fold sets, stop event) of the grid search a worker process scores
+# for; set by its initializer and inherited through fork, not pickled
+_grid_work = None
+# jobs handed to a worker at a time; on the benchmark's 135-fit grid any
+# value from 3 to 27 ran within noise of the others
+_GRID_CHUNK = 9
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS this process has loaded to one thread.
+
+    numpy and scipy each load their own copy; both are found by path in
+    ``/proc/self/maps``. A library with neither setter is left alone. After
+    a fork the setter restarts the thread pool that OpenBLAS's fork handler
+    shut down, and each idle pool thread spins for about 0.1 s of CPU; so
+    the pool is shut down again, with the function that handler calls. At
+    one thread OpenBLAS never restarts it.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, sym, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                    shutdown()
+                break
+
+
+def _start_grid_worker(cfgs, fold_sets, stop) -> None:
+    global _grid_work
+    _grid_work = (cfgs, fold_sets, stop)
+    # OpenBLAS was loaded before the fork, so no environment variable reaches
+    # it now; left alone, every worker's BLAS threads contend for the CPUs
+    _one_blas_thread()
+
+
+def _score(job, cfgs, fold_sets) -> float:
+    """Validation accuracy of job ``(fold, combination)``, fit from scratch."""
+    fold, combo = job
+    cv_train, cv_val = fold_sets[fold]
+    return compute_metrics(cv_val.labels, predict(fit(cfgs[combo], cv_train), cv_val.features)).acc
+
+
+def _score_in_worker(job) -> float:
+    """``_score`` on the worker's inherited work; NaN once the caller stops."""
+    cfgs, fold_sets, stop = _grid_work
+    return math.nan if stop.is_set() else _score(job, cfgs, fold_sets)
+
+
 def grid_search_cv(
     train: Dataset,
     template: ModelConfig,
@@ -153,6 +215,16 @@ def grid_search_cv(
     combination's record. Ties in mean accuracy break toward smaller d, then
     smaller h, then lower activation index. Returns (best config, table of
     per-combination records).
+
+    The folds are split and granulated here; the (fold, combination) fits
+    are then scored on a pool of forked worker processes, one per CPU the
+    process may use (at most one per fit), each on one BLAS thread. Every
+    fit is independent and takes the same inputs as in-process, so every
+    table and selection is bit for bit the in-process one, which runs
+    instead on one CPU, where fork is unavailable or inside a daemonic
+    process. The error raised is that of the first failing fit in job order
+    (fold-major), with its type and message, and no worker outlives the
+    call.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -170,7 +242,7 @@ def grid_search_cv(
         )
         for idx, (d, h, act) in enumerate(grid_combinations(grid))
     ]
-    accs = [[] for _ in cfgs]
+    fold_sets = []
     skipped = 0
     for fold in kfold_indices(train.n, folds, seed):
         mask = np.ones(train.n, dtype=bool)
@@ -181,10 +253,38 @@ def grid_search_cv(
             continue
         if template.granulate:
             cv_train = ball_centers(cv_train, template.eta)
-        cv_val = train.take(fold)
-        for cfg, fold_accs in zip(cfgs, accs):
-            mdl = fit(cfg, cv_train)
-            fold_accs.append(compute_metrics(cv_val.labels, predict(mdl, cv_val.features)).acc)
+        fold_sets.append((cv_train, train.take(fold)))
+    jobs = list(itertools.product(range(len(fold_sets)), range(len(cfgs))))
+    workers = min(qp.usable_cpus(), len(jobs))
+    if (workers >= 2 and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon):
+        ctx = multiprocessing.get_context("fork")
+        stop = ctx.Event()
+        # Pool forks in its constructor, before it starts its own threads
+        pool = ctx.Pool(workers, _start_grid_worker, (cfgs, fold_sets, stop))
+        try:
+            # imap yields in job order, so the error raised is that of the
+            # first failing job, as in-process; map raises whichever is first
+            # to arrive
+            scores = list(pool.imap(_score_in_worker, jobs, _GRID_CHUNK))
+        except Exception:
+            # the workers skip the jobs left and the pool closes. terminate()
+            # kills workers, and one killed while it holds a queue lock
+            # leaves join() waiting forever
+            stop.set()
+            pool.close()
+            raise
+        except BaseException:
+            pool.terminate()
+            raise
+        else:
+            pool.close()
+        finally:
+            pool.join()
+    else:
+        scores = [_score(job, cfgs, fold_sets) for job in jobs]
+    # jobs run fold-major, so combination i's fold scores are every len(cfgs)-th
+    accs = [scores[i::len(cfgs)] for i in range(len(cfgs))]
     table = [
         {
             "d": cfg.d1,

@@ -138,6 +138,13 @@ def _physical_memory_bytes():
         return None
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _outer_in_panels(V):
     """``V V'`` for a p x c V, built in row panels of ``_TILE`` rows.
 
@@ -181,11 +188,7 @@ def _outer_in_panels(V):
     starts = range(0, p, _TILE)
     workers = 1
     if Q.nbytes >= _THREADED_Q_BYTES:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        workers = min(cpus, len(starts))
+        workers = min(usable_cpus(), len(starts))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(panel, starts))  # re-raises a worker's exception

@@ -483,6 +483,22 @@ class TestExitCodes:
         assert err[0].endswith("more than the 8 bytes of physical memory")
         assert not model.exists()
 
+    def test_gridsearch_dual_larger_than_memory_is_numerical_failure(
+        self, tmp_path, blob_csv, capfd, monkeypatch
+    ):
+        # every fit runs in a worker process; its error reaches main, and
+        # the workers print nothing of their own
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        out = tmp_path / "grid.json"
+        assert run("gridsearch", "--data", blob_csv, "--seed", 3, "--variant", "tsvm",
+                   "--folds", 3, "--grid-d", "0.1,1", "--out", out) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: the ")
+        assert err[0].endswith("more than the 8 bytes of physical memory")
+        assert not out.exists()
+
     def test_bad_boolean_is_usage_error(self, tmp_path, blob_csv, capsys):
         assert run("train", "--variant", "tsvm", "--data", blob_csv, "--seed", 1,
                    "--out", tmp_path / "m.json", "--has-header=maybe") == 1
@@ -539,6 +555,16 @@ class TestNonFiniteFlags:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gen_ndc_separability_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "d.csv"
+        assert run("gen-ndc", "--n", 20, "--m", 3, "--seed", 1, "--separability", value,
+                   "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["usage error: separability must be non-negative and finite"]
+        assert not out.exists()
+
 
 
 class TestModelFlagsReachTheConfig:

@@ -320,6 +320,11 @@ class TestGenerateNdc:
         with pytest.raises(ValueError):
             generate_ndc(10, 0, 2, 1.0, seed=0)
 
+    @pytest.mark.parametrize("separability", [-1.0, float("nan"), float("inf")])
+    def test_separability_must_be_non_negative_and_finite(self, separability):
+        with pytest.raises(ValueError, match="separability must be non-negative and finite"):
+            generate_ndc(20, 3, 2, separability, seed=1)
+
 
 class TestKfold:
     def test_even_split(self):

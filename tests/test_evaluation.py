@@ -1,4 +1,8 @@
+import faulthandler
 import math
+import multiprocessing
+import multiprocessing.process
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gbtwin.model
+from gbtwin import evaluation, qp
 from gbtwin.dataset import Dataset, kfold_indices
 from gbtwin.evaluation import (
     ACTIVATION_GRID,
@@ -279,6 +284,96 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_cv(d, template, folds=3,
                            grid={"d": [], "h": [3], "activation": [1]}, seed=0)
+
+
+def _threads_after_one_blas_thread():
+    evaluation._one_blas_thread()
+    return len(os.listdir("/proc/self/task"))
+
+
+def _pool_grid():
+    """A granulated enhanced grid search: 8 combinations x 3 folds = 24 fits."""
+    d = make_blobs(90, seed=5, spread=1.2, distance=2.0)
+    template = ModelConfig(granulate=True, feature_space="enhanced", seed=0, eta=0.95)
+    grid = {"d": [0.1, 10.0], "h": [3, 8], "activation": [2, 3]}
+    return grid_search_cv(d, template, folds=3, grid=grid, seed=6)
+
+
+class TestGridSearchPool:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Names of the processes this process starts, in start order."""
+        names = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting(proc):
+            names.append(proc.name)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+        return names
+
+    def test_pool_gives_the_in_process_table_and_selection(self, monkeypatch, started):
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 1)
+        best1, table1 = _pool_grid()
+        assert started == []  # one CPU: in-process, no process started
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        best2, table2 = _pool_grid()
+        assert len(started) == 2
+        assert table2 == table1
+        assert best2 == best1
+        assert len({r["mean_acc"] for r in table1}) > 1
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_per_job_when_jobs_are_fewer_than_cpus(self, monkeypatch, started):
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 8)
+        d = make_blobs(40, seed=1)
+        template = ModelConfig(granulate=False, feature_space="original", seed=0)
+        grid = {"d": [1.0], "h": [3], "activation": [2]}
+        _, table = grid_search_cv(d, template, folds=3, grid=grid, seed=5)
+        assert len(started) == 3 and len(table[0]["fold_accs"]) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_is_the_in_process_error(self, monkeypatch, started):
+        # the limit is lowered so that every fit's dual is refused
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(qp, "usable_cpus", lambda: cpus)
+            with pytest.raises(qp.NumericalError) as err:
+                _pool_grid()
+            errors.append((type(err.value), str(err.value)))
+            assert multiprocessing.active_children() == []
+        assert len(started) == 2
+        assert errors[0] == errors[1]
+        assert errors[0][1].endswith("more than the 8 bytes of physical memory")
+
+    def test_error_path_does_not_hang(self, monkeypatch):
+        # terminate() on error can kill a worker that holds a queue lock and
+        # leave join() waiting forever (about 1 call in 150 with 4 workers on
+        # 2 cores); the watchdog ends a hung run instead of hanging it
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 4)
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            for _ in range(30):
+                with pytest.raises(qp.NumericalError):
+                    _pool_grid()
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_runs_no_blas_thread(self):
+        # after a fork, setting OpenBLAS's thread count restarts its thread
+        # pool, whose idle threads spin; the worker must end up with none
+        np.linalg.cholesky(np.eye(512) * 2.0)  # let BLAS start its threads here
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            threads = pool.apply(_threads_after_one_blas_thread)
+        finally:
+            pool.close()
+            pool.join()
+        assert threads == 1
 
 
 class TestBenchmarkFit:
