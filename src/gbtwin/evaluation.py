@@ -5,9 +5,9 @@ from __future__ import annotations
 import ctypes
 import itertools
 import json
-import math
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,49 +140,70 @@ def grid_combinations(grid: dict | None = None) -> list[tuple[float, int, int]]:
     ]
 
 
-# (cfgs, fold sets, stop event) of the grid search a worker process scores
-# for; set by its initializer and inherited through fork, not pickled
+# (cfgs, fold sets) of the grid search a worker process scores for; set by
+# its initializer and inherited through fork, not pickled
 _grid_work = None
 # jobs handed to a worker at a time; on the benchmark's 135-fit grid any
 # value from 3 to 27 ran within noise of the others
 _GRID_CHUNK = 9
+# OpenBLAS's thread-count setters: the scipy-openblas builds in numpy 2 and
+# recent scipy wheels prefix them, older wheels' builds do not, and the 64_
+# suffix marks the 64-bit-integer build numpy uses
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
-def _one_blas_thread() -> None:
-    """Set every OpenBLAS this process has loaded to one thread.
+def _openblas_thread_controls():
+    """``(setter, shutdown)`` of every OpenBLAS this process has loaded.
 
     numpy and scipy each load their own copy; both are found by path in
-    ``/proc/self/maps``. A library with neither setter is left alone. After
-    a fork the setter restarts the thread pool that OpenBLAS's fork handler
-    shut down, and each idle pool thread spins for about 0.1 s of CPU; so
-    the pool is shut down again, with the function that handler calls. At
-    one thread OpenBLAS never restarts it.
+    ``/proc/self/maps``. ``shutdown`` is the library's
+    ``blas_thread_shutdown_``, or None. Returns None where that file cannot
+    be read or a loaded OpenBLAS has none of ``_OPENBLAS_SETTERS``: its
+    threads could not be pinned in a worker, and forked workers left at
+    OpenBLAS's own thread count ran a grid search about 2x slower than
+    in-process. A BLAS other than OpenBLAS is not looked for and keeps its
+    own thread count.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
     except OSError:
-        return
-    for path in sorted(libs):
+        return None
+    controls = []
+    for path in sorted(paths):
         lib = ctypes.CDLL(path)
-        for sym in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-            setter = getattr(lib, sym, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                shutdown = getattr(lib, "blas_thread_shutdown_", None)
-                if shutdown is not None:
-                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                    shutdown()
-                break
+        setter = next((getattr(lib, s) for s in _OPENBLAS_SETTERS if hasattr(lib, s)), None)
+        if setter is None:
+            return None
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+        controls.append((setter, shutdown))
+    return controls
 
 
-def _start_grid_worker(cfgs, fold_sets, stop) -> None:
+def _start_grid_worker(cfgs, fold_sets, blas) -> None:
+    """Keep the grid search's work and set every OpenBLAS to one thread.
+
+    OpenBLAS was loaded before the fork, so no environment variable reaches
+    it now; left alone, every worker's BLAS threads contend for the CPUs.
+    After a fork the setter restarts the thread pool that OpenBLAS's fork
+    handler shut down, and each idle pool thread spins for about 0.1 s of
+    CPU; so the pool is shut down again, with the function that handler
+    calls. At one thread OpenBLAS never restarts it.
+    """
     global _grid_work
-    _grid_work = (cfgs, fold_sets, stop)
-    # OpenBLAS was loaded before the fork, so no environment variable reaches
-    # it now; left alone, every worker's BLAS threads contend for the CPUs
-    _one_blas_thread()
+    _grid_work = cfgs, fold_sets
+    for setter, shutdown in blas:
+        setter(1)
+        if shutdown is not None:
+            shutdown()
 
 
 def _score(job, cfgs, fold_sets) -> float:
@@ -193,9 +214,33 @@ def _score(job, cfgs, fold_sets) -> float:
 
 
 def _score_in_worker(job) -> float:
-    """``_score`` on the worker's inherited work; NaN once the caller stops."""
-    cfgs, fold_sets, stop = _grid_work
-    return math.nan if stop.is_set() else _score(job, cfgs, fold_sets)
+    return _score(job, *_grid_work)
+
+
+def _grid_workers(fold_sets, jobs: int) -> int:
+    """Worker processes to score a grid search's fits on; below 2, none.
+
+    One per CPU the process may use, at most one per fit, and no more than
+    the physical memory holds of the largest dual matrix a fit builds
+    (8 p^2 bytes, p the larger class of a fold's training part), since each
+    worker holds its own. A dual of ``qp._THREADED_Q_BYTES`` or more is
+    built on every CPU already, so such a search runs in-process and no
+    worker ever starts a thread pool of its own. So does a search where
+    fork is unavailable or the caller is a daemonic process.
+    """
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    p = max((max(np.count_nonzero(t.labels > 0), np.count_nonzero(t.labels < 0))
+             for t, _ in fold_sets), default=0)
+    dual_bytes = 8 * p * p
+    if dual_bytes >= qp._THREADED_Q_BYTES:
+        return 1
+    workers = min(qp.usable_cpus(), jobs)
+    limit = qp._physical_memory_bytes()
+    if limit is not None:
+        workers = min(workers, limit // max(dual_bytes, 1))
+    return workers
 
 
 def grid_search_cv(
@@ -218,13 +263,16 @@ def grid_search_cv(
 
     The folds are split and granulated here; the (fold, combination) fits
     are then scored on a pool of forked worker processes, one per CPU the
-    process may use (at most one per fit), each on one BLAS thread. Every
-    fit is independent and takes the same inputs as in-process, so every
-    table and selection is bit for bit the in-process one, which runs
-    instead on one CPU, where fork is unavailable or inside a daemonic
-    process. The error raised is that of the first failing fit in job order
-    (fold-major), with its type and message, and no worker outlives the
-    call.
+    process may use, each on one BLAS thread (``_grid_workers`` says how
+    many). With fewer than two, or where the thread count of a loaded
+    OpenBLAS cannot be set (``_openblas_thread_controls``), the same fits
+    run in-process. Every fit is independent and takes the same inputs
+    as in-process, so every table and selection is bit for bit the
+    in-process one. The error raised is that of the first failing fit in
+    job order (fold-major), with its type and message; after it the fits
+    not yet handed out are dropped and the workers finish their own. A
+    worker that dies without raising (killed by a signal, say) raises
+    ``BrokenProcessPool``. No worker outlives the call.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -255,34 +303,16 @@ def grid_search_cv(
             cv_train = ball_centers(cv_train, template.eta)
         fold_sets.append((cv_train, train.take(fold)))
     jobs = list(itertools.product(range(len(fold_sets)), range(len(cfgs))))
-    workers = min(qp.usable_cpus(), len(jobs))
-    if (workers >= 2 and "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon):
-        ctx = multiprocessing.get_context("fork")
-        stop = ctx.Event()
-        # Pool forks in its constructor, before it starts its own threads
-        pool = ctx.Pool(workers, _start_grid_worker, (cfgs, fold_sets, stop))
-        try:
-            # imap yields in job order, so the error raised is that of the
-            # first failing job, as in-process; map raises whichever is first
-            # to arrive
-            scores = list(pool.imap(_score_in_worker, jobs, _GRID_CHUNK))
-        except Exception:
-            # the workers skip the jobs left and the pool closes. terminate()
-            # kills workers, and one killed while it holds a queue lock
-            # leaves join() waiting forever
-            stop.set()
-            pool.close()
-            raise
-        except BaseException:
-            pool.terminate()
-            raise
-        else:
-            pool.close()
-        finally:
-            pool.join()
-    else:
+    workers = _grid_workers(fold_sets, len(jobs))
+    blas = _openblas_thread_controls() if workers >= 2 else None
+    if blas is None:
         scores = [_score(job, cfgs, fold_sets) for job in jobs]
+    else:
+        # with fork, the executor starts every worker before its own thread
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_start_grid_worker,
+                                 initargs=(cfgs, fold_sets, blas)) as pool:
+            scores = list(pool.map(_score_in_worker, jobs, chunksize=_GRID_CHUNK))
     # jobs run fold-major, so combination i's fold scores are every len(cfgs)-th
     accs = [scores[i::len(cfgs)] for i in range(len(cfgs))]
     table = [

@@ -486,8 +486,7 @@ class TestExitCodes:
     def test_gridsearch_dual_larger_than_memory_is_numerical_failure(
         self, tmp_path, blob_csv, capfd, monkeypatch
     ):
-        # every fit runs in a worker process; its error reaches main, and
-        # the workers print nothing of their own
+        # no worker fits beside the refused dual, so the fits run in-process
         monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
         monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
         out = tmp_path / "grid.json"
@@ -497,6 +496,19 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("numerical failure: the ")
         assert err[0].endswith("more than the 8 bytes of physical memory")
+        assert not out.exists()
+
+    def test_gridsearch_worker_error_is_numerical_failure(self, tmp_path, blob_csv, capfd,
+                                                          monkeypatch):
+        # every fit runs in a worker process; its error reaches main, and
+        # the workers print nothing of their own
+        monkeypatch.setattr(qp, "_ROW_NORM_SQ_MAX", -1.0)
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        out = tmp_path / "grid.json"
+        assert run("gridsearch", "--data", blob_csv, "--seed", 3, "--variant", "tsvm",
+                   "--folds", 3, "--grid-d", "0.1,1", "--out", out) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert err == ["numerical failure: Q contains non-finite entries"]
         assert not out.exists()
 
     def test_bad_boolean_is_usage_error(self, tmp_path, blob_csv, capsys):

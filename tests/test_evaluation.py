@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import multiprocessing.process
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -286,8 +288,7 @@ class TestGridSearch:
                            grid={"d": [], "h": [3], "activation": [1]}, seed=0)
 
 
-def _threads_after_one_blas_thread():
-    evaluation._one_blas_thread()
+def _threads_in_worker():
     return len(os.listdir("/proc/self/task"))
 
 
@@ -297,6 +298,13 @@ def _pool_grid():
     template = ModelConfig(granulate=True, feature_space="enhanced", seed=0, eta=0.95)
     grid = {"d": [0.1, 10.0], "h": [3, 8], "activation": [2, 3]}
     return grid_search_cv(d, template, folds=3, grid=grid, seed=6)
+
+
+def _fold_sets(larger_class):
+    """One fold set whose training part has ``larger_class`` rows of class +1."""
+    labels = np.r_[np.ones(larger_class), -np.ones(2)]
+    train = Dataset(np.zeros((labels.size, 1)), labels)
+    return [(train, train)]
 
 
 class TestGridSearchPool:
@@ -312,6 +320,13 @@ class TestGridSearchPool:
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
         return names
+
+    @pytest.fixture
+    def watchdog(self):
+        """Ends a hung test run with every thread's stack instead of waiting."""
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
 
     def test_pool_gives_the_in_process_table_and_selection(self, monkeypatch, started):
         monkeypatch.setattr(qp, "usable_cpus", lambda: 1)
@@ -334,9 +349,22 @@ class TestGridSearchPool:
         assert len(started) == 3 and len(table[0]["fold_accs"]) == 3
         assert multiprocessing.active_children() == []
 
-    def test_worker_error_is_the_in_process_error(self, monkeypatch, started):
-        # the limit is lowered so that every fit's dual is refused
+    def test_refused_dual_is_the_in_process_error(self, monkeypatch, started):
+        # every fit's dual is refused, and no worker fits beside it in memory
         monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(qp, "usable_cpus", lambda: cpus)
+            with pytest.raises(qp.NumericalError) as err:
+                _pool_grid()
+            errors.append((type(err.value), str(err.value)))
+        assert started == []
+        assert errors[0] == errors[1]
+        assert errors[0][1].endswith("more than the 8 bytes of physical memory")
+
+    def test_worker_error_is_the_in_process_error(self, monkeypatch, started, watchdog):
+        # every fit's dual is rejected as non-finite, in the workers too
+        monkeypatch.setattr(qp, "_ROW_NORM_SQ_MAX", -1.0)
         errors = []
         for cpus in (1, 2):
             monkeypatch.setattr(qp, "usable_cpus", lambda: cpus)
@@ -345,34 +373,61 @@ class TestGridSearchPool:
             errors.append((type(err.value), str(err.value)))
             assert multiprocessing.active_children() == []
         assert len(started) == 2
-        assert errors[0] == errors[1]
-        assert errors[0][1].endswith("more than the 8 bytes of physical memory")
+        assert errors == [(qp.NumericalError, "Q contains non-finite entries")] * 2
 
-    def test_error_path_does_not_hang(self, monkeypatch):
-        # terminate() on error can kill a worker that holds a queue lock and
-        # leave join() waiting forever (about 1 call in 150 with 4 workers on
-        # 2 cores); the watchdog ends a hung run instead of hanging it
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
+    def test_error_path_does_not_hang(self, monkeypatch, watchdog):
+        monkeypatch.setattr(qp, "_ROW_NORM_SQ_MAX", -1.0)
         monkeypatch.setattr(qp, "usable_cpus", lambda: 4)
-        faulthandler.dump_traceback_later(120, exit=True)
-        try:
-            for _ in range(30):
-                with pytest.raises(qp.NumericalError):
-                    _pool_grid()
-        finally:
-            faulthandler.cancel_dump_traceback_later()
+        for _ in range(30):
+            with pytest.raises(qp.NumericalError):
+                _pool_grid()
         assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch, watchdog):
+        caller = os.getpid()
+
+        def die_in_worker(*args, **kwargs):
+            assert os.getpid() != caller
+            os._exit(1)
+
+        monkeypatch.setattr(evaluation, "fit", die_in_worker)
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        with pytest.raises(BrokenProcessPool):
+            _pool_grid()
+        assert multiprocessing.active_children() == []
+
+    def test_unpinnable_openblas_runs_in_process(self, monkeypatch, started):
+        assert evaluation._openblas_thread_controls()  # numpy's OpenBLAS at least
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 1)
+        best1, table1 = _pool_grid()
+        monkeypatch.setattr(evaluation, "_OPENBLAS_SETTERS", ("no_such_setter",))
+        assert evaluation._openblas_thread_controls() is None
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        best2, table2 = _pool_grid()
+        assert (best2, table2) == (best1, table1)
+        assert started == []
+
+    def test_workers_fit_in_memory_and_below_threaded_duals(self, monkeypatch):
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 4)
+        dual = 8 * 100 * 100
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 3 * dual - 1)
+        assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 2
+        assert evaluation._grid_workers(_fold_sets(100), jobs=1) == 1
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: None)
+        assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 4
+        # a dual built on every CPU already: in-process
+        assert evaluation._grid_workers(_fold_sets(2047), jobs=10) == 4
+        assert evaluation._grid_workers(_fold_sets(2048), jobs=10) == 1
 
     def test_worker_runs_no_blas_thread(self):
         # after a fork, setting OpenBLAS's thread count restarts its thread
         # pool, whose idle threads spin; the worker must end up with none
         np.linalg.cholesky(np.eye(512) * 2.0)  # let BLAS start its threads here
-        pool = multiprocessing.get_context("fork").Pool(1)
-        try:
-            threads = pool.apply(_threads_after_one_blas_thread)
-        finally:
-            pool.close()
-            pool.join()
+        ctx = multiprocessing.get_context("fork")
+        blas = evaluation._openblas_thread_controls()
+        with ProcessPoolExecutor(1, mp_context=ctx, initializer=evaluation._start_grid_worker,
+                                 initargs=([], [], blas)) as pool:
+            threads = pool.submit(_threads_in_worker).result()
         assert threads == 1
 
 
