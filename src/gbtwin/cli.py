@@ -488,7 +488,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, DataError) as exc:
+    except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, md.FitError) as exc:

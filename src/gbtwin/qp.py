@@ -1,14 +1,15 @@
 """Numerical core: ridge-regularized SPD solves and the box-constrained dual.
 
 ``ridge_factorize`` Cholesky-factors A'A + delta*I once so that many right
-hand sides can be solved cheaply. ``solve_box_qp`` maximizes
-``sum(alpha) - 0.5 * alpha' Q alpha`` over the box ``0 <= alpha <= upper``
-with cyclic clipped coordinate ascent and certifies the result through the
-projected-gradient KKT residual. One coordinate rule drives the sweeps, the
-stopping test and ``kkt_residual``: a coordinate is held when it sits at a
-bound with its gradient pointing out of the box. The residual is the largest
-|gradient| among the coordinates not held, and the next sweep visits exactly
-those (shrinking, as in SVMlight and LIBLINEAR).
+hand sides can be solved cheaply; it, its solves and the Newton step below
+call LAPACK's ``dpotrf``, ``dpotrs`` and ``dtrtrs``. ``solve_box_qp``
+maximizes ``sum(alpha) - 0.5 * alpha' Q alpha`` over the box
+``0 <= alpha <= upper`` with cyclic clipped coordinate ascent and certifies
+the result through the projected-gradient KKT residual. One coordinate rule
+drives the sweeps, the stopping test and ``kkt_residual``: a coordinate is
+held when it sits at a bound with its gradient pointing out of the box. The
+residual is the largest |gradient| among the coordinates not held, and the
+next sweep visits exactly those (shrinking, as in SVMlight and LIBLINEAR).
 
 A dual built from ``LowRank(V)`` with V p x c and p <= c has a Q that is
 generically nonsingular and at most c x c, so after its first sweep each
@@ -41,8 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 10_000
@@ -70,18 +70,18 @@ class NumericalError(Exception):
 
 @dataclass(frozen=True)
 class RidgeGram:
-    factor: tuple  # scipy cho_factor output for A'A + delta*I, A r x c
+    L: np.ndarray  # dpotrf's factor of A'A + delta*I (A r x c, c >= 1) in its lower triangle
 
     @property
     def c(self) -> int:
-        return self.factor[0].shape[1]
+        return self.L.shape[1]
 
 
 def ridge_factorize(A, delta: float) -> RidgeGram:
     """Cholesky factorization of A'A + delta*I for repeated solves."""
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("A must be a 2-D matrix")
+    if A.ndim != 2 or A.shape[1] == 0:
+        raise ValueError("A must be a 2-D matrix with at least one column")
     if not np.all(np.isfinite(A)):
         raise NumericalError("cannot factorize a matrix with non-finite entries")
     if not 0 < delta < np.inf:
@@ -90,23 +90,23 @@ def ridge_factorize(A, delta: float) -> RidgeGram:
         gram = A.T @ A + delta * np.eye(A.shape[1])
     if not np.all(np.isfinite(gram)):
         raise NumericalError("the Gram matrix of a finite matrix overflows")
-    try:
-        factor = cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(gram))
+    L, info = dpotrf(gram, lower=True, clean=False)
+    if info != 0:  # info > 0: a leading minor is not positive definite
         raise NumericalError(
-            f"ridge factorization failed (condition estimate {cond:.3e}); "
+            f"ridge factorization failed (condition estimate {np.linalg.cond(gram):.3e}); "
             f"delta={delta} is too small for this matrix"
-        ) from exc
-    return RidgeGram(factor=factor)
+        )
+    return RidgeGram(L=L)
 
 
 def solve_spd(g: RidgeGram, rhs):
     """Solve (A'A + delta*I) x = rhs for one or many right-hand sides."""
     rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim not in (1, 2):
+        raise ValueError(f"rhs must be a vector or a matrix, got {rhs.ndim} dimensions")
     if rhs.shape[0] != g.c:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {g.c}")
-    return cho_solve(g.factor, rhs)
+    return dpotrs(g.L, rhs, lower=True)[0]  # info is 0: c >= 1 and the rows match
 
 
 def whiten(g: RidgeGram, rows):
@@ -119,8 +119,7 @@ def whiten(g: RidgeGram, rows):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != g.c:
         raise ValueError(f"rows must be a 2-D matrix with {g.c} columns")
-    # ridge_factorize keeps the lower factor
-    return solve_triangular(g.factor[0], rows.T, lower=True, check_finite=False).T
+    return dtrtrs(g.L, rows.T, lower=True)[0].T  # info is 0: L has no zero pivot
 
 
 @dataclass(frozen=True)
@@ -327,8 +326,8 @@ def _newton_step(Q, upper, alpha, grad, free):
     objective, leaves ``alpha`` and ``grad`` as they were.
     """
     F = np.flatnonzero(free)
-    # LAPACK directly: scipy's cho_factor and cho_solve cost 2.5x as much on
-    # the 11-25 row blocks of a grid search, whose duals take several steps
+    # LAPACK directly, as for the ridge factor: scipy's cho_factor and
+    # cho_solve cost 2.5x as much on the 11-25 row blocks of a grid search
     factor, info = dpotrf(Q[F[:, None], F], lower=True)
     if info != 0:
         return alpha, grad

@@ -9,8 +9,10 @@ fine; independent is the point.
 import itertools
 import warnings
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import linprog
 from scipy.special import expit
 
@@ -276,6 +278,59 @@ def serial_panel_outer_reference(V):
         np.copyto(block, block.T, where=np.tri(e - s, k=-1, dtype=bool))
         Q[e:, s:e] = Q[s:e, e:].T
     return Q
+
+
+@dataclass(frozen=True)
+class WrapperRidgeGram:
+    factor: tuple  # scipy cho_factor output for A'A + delta*I, A r x c
+
+    @property
+    def c(self) -> int:
+        return self.factor[0].shape[1]
+
+
+def wrapper_ridge_factorize(A, delta: float) -> WrapperRidgeGram:
+    """``qp.ridge_factorize`` as it was on scipy's Cholesky wrappers, verbatim.
+
+    This and the next two are the bits the direct LAPACK calls must match.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError("A must be a 2-D matrix")
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("cannot factorize a matrix with non-finite entries")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"ridge delta must be positive and finite, got {delta}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A.T @ A + delta * np.eye(A.shape[1])
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError("the Gram matrix of a finite matrix overflows")
+    try:
+        factor = cho_factor(gram, lower=True)
+    except np.linalg.LinAlgError as exc:
+        cond = float(np.linalg.cond(gram))
+        raise NumericalError(
+            f"ridge factorization failed (condition estimate {cond:.3e}); "
+            f"delta={delta} is too small for this matrix"
+        ) from exc
+    return WrapperRidgeGram(factor=factor)
+
+
+def wrapper_solve_spd(g: WrapperRidgeGram, rhs):
+    """``qp.solve_spd`` on ``cho_solve``, verbatim."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.shape[0] != g.c:
+        raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {g.c}")
+    return cho_solve(g.factor, rhs)
+
+
+def wrapper_whiten(g: WrapperRidgeGram, rows):
+    """``qp.whiten`` on ``solve_triangular``, verbatim."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != g.c:
+        raise ValueError(f"rows must be a 2-D matrix with {g.c} columns")
+    # ridge_factorize keeps the lower factor
+    return solve_triangular(g.factor[0], rows.T, lower=True, check_finite=False).T
 
 
 def min_sse_bipartition(X):

@@ -528,6 +528,21 @@ class TestExitCodes:
                    "--out", tmp_path / "m.json", "--config", cfg) == 1
         assert "config line 2 is not 'key = value'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--variant", "tsvm", "--seed", "1", "--data", "DIR", "--out", "m.json"],
+        ["train", "--variant", "tsvm", "--seed", "1", "--data", "CSV", "--out", "DIR"],
+        ["predict", "--model", "DIR", "--data", "CSV", "--out", "y.csv"],
+    ])
+    def test_directory_in_place_of_a_file_is_data_error(self, tmp_path, blob_csv, capsys,
+                                                        monkeypatch, argv):
+        # opening a directory raises an OSError that is not FileNotFoundError
+        (tmp_path / "dir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run(*({"DIR": "dir", "CSV": blob_csv}.get(a, a) for a in argv)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ") and "'dir'" in err[0]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["blobs.csv", "dir"]
+
     def test_compare_on_empty_directory_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

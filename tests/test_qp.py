@@ -36,6 +36,9 @@ from _oracles import (
     serial_panel_outer_reference,
     two_mask_sweeps_reference,
     two_scratch_tile_symmetrize_reference,
+    wrapper_ridge_factorize,
+    wrapper_solve_spd,
+    wrapper_whiten,
 )
 
 # frozen result of dense_grid_box_qp(Q=[[2,1],[1,2]], upper=10, step=1e-3),
@@ -65,7 +68,7 @@ class TestRidgeFactorize:
         delta = 1e-5
         g = ridge_factorize(A, delta)
         gram = A.T @ A + delta * np.eye(4)
-        L = np.tril(g.factor[0])
+        L = np.tril(g.L)
         assert np.allclose(L @ L.T, gram, rtol=1e-8)
         # and solving against the gram returns the identity
         assert np.allclose(solve_spd(g, gram), np.eye(4), atol=1e-8)
@@ -112,6 +115,11 @@ class TestInputGuards:
     def test_one_dimensional_ridge_input_rejected(self):
         with pytest.raises(ValueError, match="A must be a 2-D matrix"):
             ridge_factorize(np.ones(3), 1.0)
+
+    def test_ridge_input_without_columns_rejected(self):
+        # LAPACK's solves refuse an empty factor, so it is never made
+        with pytest.raises(ValueError, match="at least one column"):
+            ridge_factorize(np.ones((3, 0)), 1.0)
 
 
 def _plain_config(**kw):
@@ -176,6 +184,42 @@ class TestSolveSpd:
         g = ridge_factorize(np.eye(2), delta=1.0)
         with pytest.raises(ValueError):
             solve_spd(g, np.zeros(3))
+
+    @pytest.mark.parametrize("rhs", [3.0, np.zeros((2, 2, 2))])
+    def test_rhs_neither_vector_nor_matrix_rejected(self, rhs):
+        g = ridge_factorize(np.eye(2), delta=1.0)
+        with pytest.raises(ValueError, match="rhs must be a vector or a matrix"):
+            solve_spd(g, rhs)
+
+
+class TestLapackMatchesWrappers:
+    """The direct LAPACK calls give the bits scipy's Cholesky wrappers gave."""
+
+    @pytest.mark.parametrize("c", [1, 34, 137, 237])
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    def test_factor_solves_and_whitened_rows(self, c, shape):
+        rng = np.random.default_rng(c)
+        A = rng.normal(size=(2 * c + 3 if shape == "tall" else c // 4 + 1, c))
+        g, ref = ridge_factorize(A, 1e-5), wrapper_ridge_factorize(A, 1e-5)
+        assert g.c == ref.c == c
+        assert np.array_equal(g.L, ref.factor[0])
+        # a vector, a C-ordered matrix and a transposed (F-ordered) one
+        for rhs in (rng.normal(size=c), rng.normal(size=(c, 5)), rng.normal(size=(3, c)).T):
+            x = solve_spd(g, rhs)
+            assert x.shape == rhs.shape and np.array_equal(x, wrapper_solve_spd(ref, rhs))
+        for k in (0, 1, 300):
+            rows = rng.normal(size=(k, c))
+            V = whiten(g, rows)
+            assert V.shape == (k, c) and np.array_equal(V, wrapper_whiten(ref, rows))
+
+    def test_refused_factor_raises_the_same_error(self):
+        # three identical rows leave the Gram matrix singular at a tiny ridge
+        A = np.tile([0.2, 0.2, 1.0], (3, 1))
+        with pytest.raises(NumericalError, match="ridge factorization failed") as new:
+            ridge_factorize(A, 1e-300)
+        with pytest.raises(NumericalError) as old:
+            wrapper_ridge_factorize(A, 1e-300)
+        assert str(new.value) == str(old.value)
 
 
 class TestBoxQP:
