@@ -7,9 +7,13 @@ or concatenated with their hidden image. Prediction assigns the class of the
 nearer hyperplane measured in the same feature space the model was fit in.
 
 ``fit`` maps its training rows in full, since the ridge Gram matrix needs all
-of them. ``predict`` maps and scores rows in blocks of ``_BLOCK_ROWS``, so it
-never holds the n x (h + m) mapped matrix and each block stays in cache; the
-blocked products may round distances differently in their last bits.
+of them. When there are fewer rows k than columns c (a granulated fit in a
+wide random space), it fits both planes on the rows' k coordinates in their
+row span (``qp.row_span``) and lifts the planes back to c columns: the same
+problems, on k x k instead of c x c ridge systems. ``predict`` maps and
+scores rows in blocks of ``_BLOCK_ROWS``, so it never holds the n x (h + m)
+mapped matrix and each block stays in cache; the blocked products may round
+distances differently in their last bits.
 
 A saved model document holds ``schema_version``, ``kind``, then one key per
 field of its model class. ``serialize`` and ``deserialize`` serve both model
@@ -105,15 +109,22 @@ _BLOCK_ROWS = 256
 def _scores(space: str, layer: ft.RandomLayer | None, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """``_map_rows(space, layer, X) @ W``, mapped and multiplied a block of rows at a time.
 
-    Never holds the mapped matrix of all rows, only one block of it. A finite
-    row may overflow the map or the product without a warning: the map
-    rejects a non-finite block and the callers check the scores.
+    Never holds the mapped matrix of all rows, only one block of it. An
+    enhanced block is scored as ``hidden @ W[:h] + X @ W[h:]``, so its
+    ``[hidden | X]`` rows are never concatenated; X must be finite, as the
+    callers' ``_checked_input`` makes it. A finite row may overflow the map
+    or the product without a warning: the map rejects a non-finite block and
+    the callers check the scores.
     """
     out = np.empty((X.shape[0],) + W.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, X.shape[0], _BLOCK_ROWS):
             block = slice(s, s + _BLOCK_ROWS)
-            np.matmul(_map_rows(space, layer, X[block]), W, out=out[block])
+            if space == "enhanced":
+                np.matmul(ft.hidden_features(layer, X[block]), W[: layer.h], out=out[block])
+                out[block] += X[block] @ W[layer.h :]
+            else:
+                np.matmul(_map_rows(space, layer, X[block]), W, out=out[block])
     return out
 
 
@@ -157,9 +168,14 @@ def fit(
     """Fit the twin hyperplanes for ``cfg`` on ``train``.
 
     Pipeline: optional granulation to ball centers, feature mapping, then one
-    box-constrained dual per plane. Solver non-convergence is recorded in the
-    diagnostics rather than raised; a degenerate zero plane normal is an
-    error because prediction would divide by zero.
+    box-constrained dual per plane. With the ones column appended the mapped
+    rows M are k x c. When k < c, ``M' = U R`` by QR, both planes are fit on
+    the k x k rows ``R'`` and lifted back by U; the ridge term is the same in
+    every orthonormal basis, so each dual is the same problem and the planes
+    agree with a fit on M up to rounding. When k >= c the planes are fit on M
+    itself. Solver non-convergence is recorded in the diagnostics rather
+    than raised; a degenerate zero plane normal is an error because
+    prediction would divide by zero.
     """
     if not train.has_both_classes:
         raise DataError("single class in training data; both classes are required")
@@ -174,12 +190,18 @@ def fit(
         layer = ft.init_random_layer(train.m, cfg.h, cfg.activation, cfg.seed)
     mapped = _map_rows(cfg.feature_space, layer, rows)
     mapped = np.hstack([mapped, np.ones((mapped.shape[0], 1))])
+    span = None
+    if mapped.shape[0] < mapped.shape[1]:
+        span = qp.row_span(mapped)
+        mapped = span.rows
     pos = mapped[labels > 0]
     neg = mapped[labels < 0]
 
     u1, sol1 = _plane(pos, neg, cfg.d1, cfg.delta, qp_tol, qp_max_iter)
     u1 = -u1
     u2, sol2 = _plane(neg, pos, cfg.d2, cfg.delta, qp_tol, qp_max_iter)
+    if span is not None:
+        u1, u2 = qp.lift(span, np.column_stack([u1, u2])).T
 
     if np.linalg.norm(u1[:-1]) <= ZERO_NORMAL_TOL or np.linalg.norm(u2[:-1]) <= ZERO_NORMAL_TOL:
         raise FitError(

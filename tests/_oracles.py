@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from gbtwin import model as md
 from gbtwin import qp
-from gbtwin.features import ACTIVATION_NAMES, SELU_ALPHA, SELU_LAMBDA
+from gbtwin.features import ACTIVATION_NAMES, SELU_ALPHA, SELU_LAMBDA, init_random_layer
 from gbtwin.granular import (
     LLOYD_MAX_ITER,
     GranularBall,
@@ -506,6 +506,25 @@ def explicit_q_plane_reference(near, far, upper, delta, qp_tol, qp_max_iter):
     q = far @ qp.solve_spd(gram, far.T)
     sol = qp.solve_box_qp(qp.BoxQP(q, upper), tol=qp_tol, max_iter=qp_max_iter)
     return qp.solve_spd(gram, far.T @ sol.alpha), sol
+
+
+def full_width_planes(cfg, train, qp_tol, qp_max_iter=qp.DEFAULT_MAX_SWEEPS):
+    """``model.fit``'s two planes fit on the c mapped columns themselves.
+
+    The construction every fit used before fits with fewer rows than columns
+    moved to their row span: the raw rows mapped, a ones column appended and
+    ``model._plane`` run on the full-width class blocks. No granulation:
+    ``train``'s rows stand for the ball centres.
+    """
+    layer = None
+    if cfg.feature_space != "original":
+        layer = init_random_layer(train.m, cfg.h, cfg.activation, cfg.seed)
+    mapped = md._map_rows(cfg.feature_space, layer, train.features)
+    mapped = np.hstack([mapped, np.ones((mapped.shape[0], 1))])
+    pos, neg = mapped[train.labels > 0], mapped[train.labels < 0]
+    u1, _ = md._plane(pos, neg, cfg.d1, cfg.delta, qp_tol, qp_max_iter)
+    u2, _ = md._plane(neg, pos, cfg.d2, cfg.delta, qp_tol, qp_max_iter)
+    return -u1, u2
 
 
 def average_ranks_reference(scores):

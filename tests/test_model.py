@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from gbtwin.dataset import (
     normalize_minmax,
     split_train_test,
 )
+from gbtwin import qp
 from gbtwin.features import init_random_layer
 from gbtwin.model import (
     _BLOCK_ROWS,
@@ -36,7 +38,7 @@ from gbtwin.model import (
     serialize,
 )
 
-from _oracles import plane_distances_reference, twin_planes_reference
+from _oracles import full_width_planes, plane_distances_reference, twin_planes_reference
 from _synth import make_blobs, make_crossplane
 
 
@@ -673,3 +675,63 @@ class TestLegacyDocuments:
         for mdl, kind in ((twin, "ef-gbtsvm"), (twin, "tsvm"), (rvfl, "rvfl")):
             legacy = json.loads((self.DIR / f"{kind}.json").read_text())
             assert list(serialize(mdl)) == list(legacy)
+
+
+class TestRowSpanFit:
+    """A fit with fewer rows k than mapped columns c runs in the rows' span.
+
+    ``full_width_planes`` is the construction every fit used before: the
+    same ``_plane`` on the c-column rows. Rows are fit raw, standing for
+    ball centres.
+    """
+
+    C = 13
+    # (space, m, h), each with c = 13 mapped columns counting the ones column
+    SPACES = [("original", 12, 1), ("hidden", 4, 12), ("enhanced", 4, 8)]
+
+    @staticmethod
+    def rows(k, m, duplicated=False):
+        labels = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+        X = np.random.default_rng(k).normal(size=(k, m)) + 0.5 * labels[:, None]
+        if duplicated:
+            # every centre twice, with its label: M has rank k / 2 at most
+            X[k // 2:] = X[: k // 2]
+            labels[k // 2:] = labels[: k // 2]
+        return Dataset(X, labels)
+
+    @staticmethod
+    def spy_row_span(monkeypatch):
+        shapes = []
+        row_span = qp.row_span
+        monkeypatch.setattr(qp, "row_span", lambda M: shapes.append(M.shape) or row_span(M))
+        return shapes
+
+    @pytest.mark.parametrize("space,m,h", SPACES)
+    @pytest.mark.parametrize("k,duplicated", [(2, False), (C - 1, False), (C - 1, True)])
+    def test_agrees_with_the_full_width_fit(self, monkeypatch, space, m, h, k, duplicated):
+        cfg = ModelConfig(granulate=False, feature_space=space, seed=6, h=h, activation=3)
+        train = self.rows(k, m, duplicated)
+        shapes = self.spy_row_span(monkeypatch)
+        mdl = fit(cfg, train, qp_tol=1e-12)
+        assert shapes == [(k, self.C)] and mdl.u1.shape == (self.C,)
+        assert mdl.diagnostics.converged
+        r1, r2 = full_width_planes(cfg, train, qp_tol=1e-12)
+        for u, r in ((mdl.u1, r1), (mdl.u2, r2)):
+            assert np.abs(u - r).max() <= 1e-8 * np.abs(r).max()
+        probe = np.random.default_rng(1).normal(scale=2.0, size=(500, m))
+        labels = predict(mdl, probe)
+        assert set(labels.tolist()) == {-1.0, 1.0}
+        assert np.array_equal(labels, predict(replace(mdl, u1=r1, u2=r2), probe))
+
+    @pytest.mark.parametrize("space,m,h", SPACES)
+    @pytest.mark.parametrize("k", [C, 2 * C + 2])
+    def test_k_at_least_c_is_the_full_width_fit_bit_for_bit(self, monkeypatch, space, m, h, k):
+        # at 2c + 2 rows both duals are over c + 1 rows, so neither takes a
+        # Newton step either: the whole fit runs the earlier code
+        cfg = ModelConfig(granulate=False, feature_space=space, seed=6, h=h, activation=3)
+        train = self.rows(k, m)
+        shapes = self.spy_row_span(monkeypatch)
+        mdl = fit(cfg, train, qp_tol=1e-12)
+        assert shapes == []
+        r1, r2 = full_width_planes(cfg, train, qp_tol=1e-12)
+        assert mdl.u1.tobytes() == r1.tobytes() and mdl.u2.tobytes() == r2.tobytes()

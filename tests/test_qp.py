@@ -222,6 +222,42 @@ class TestLapackMatchesWrappers:
         assert str(new.value) == str(old.value)
 
 
+class TestRowSpan:
+    """``row_span`` and ``lift``: the QR of M' through ``dgeqrf`` and ``dormqr``."""
+
+    @pytest.mark.parametrize("k,c", [(1, 2), (2, 13), (12, 13), (45, 236)])
+    def test_rows_and_basis_reproduce_m(self, k, c):
+        M = np.random.default_rng(k).normal(size=(k, c))
+        span = qp.row_span(M)
+        R_t = span.rows
+        assert R_t.shape == (k, k) and np.array_equal(R_t, np.tril(R_t))
+        U = qp.lift(span, np.eye(k))
+        assert U.shape == (c, k)
+        np.testing.assert_allclose(U.T @ U, np.eye(k), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(R_t @ U.T, M, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(qp.lift(span, R_t.T), M.T, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_rows_keep_an_orthonormal_basis(self):
+        M = np.random.default_rng(3).normal(size=(6, 20))
+        M[3:] = M[:3]
+        span = qp.row_span(M)
+        U = qp.lift(span, np.eye(6))
+        np.testing.assert_allclose(U.T @ U, np.eye(6), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(span.rows @ U.T, M, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (0, 3), (3,)])
+    def test_rejects_m_without_fewer_rows_than_columns(self, shape):
+        with pytest.raises(ValueError, match="fewer rows than columns"):
+            qp.row_span(np.ones(shape))
+
+    def test_lift_checks_the_row_count(self):
+        span = qp.row_span(np.random.default_rng(4).normal(size=(3, 5)))
+        with pytest.raises(ValueError, match="3 rows"):
+            qp.lift(span, np.ones((4, 2)))
+        with pytest.raises(ValueError, match="3 rows"):
+            qp.lift(span, np.ones(3))
+
+
 class TestBoxQP:
     def test_interior_optimum(self):
         Q = np.array([[2.0]])
@@ -517,6 +553,50 @@ class TestNewtonSteps:
                 value = box_qp_value(q.Q, upper, sol.alpha)
                 assert value >= prev - 1e-12
                 prev = value
+
+    def test_a_step_that_lowers_the_objective_is_shortened(self):
+        # from the point one plain sweep leaves, the clipped full Newton step
+        # lowers the objective; the step is halved along the projection arc
+        # until it does not, instead of being dropped
+        shortened = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(3, 7))
+            upper = float(rng.choice([0.1, 1.0, 10.0]))
+            q = BoxQP(LowRank(rng.normal(loc=1.0, size=(p, p + 1))), upper)
+            alpha = solve_box_qp(q, tol=1e-16, max_iter=1).alpha
+            grad = 1.0 - q.Q @ alpha
+            free, residual = qp._free_and_residual(grad, alpha, upper)
+            F = np.flatnonzero(free)
+            if residual <= DEFAULT_TOL:
+                continue
+            d = np.linalg.solve(q.Q[np.ix_(F, F)], grad[F])
+            full = alpha.copy()
+            full[F] = np.clip(alpha[F] + d, 0.0, upper)
+            start = box_qp_value(q.Q, upper, alpha)
+            if box_qp_value(q.Q, upper, full) >= start:
+                continue
+            new, new_grad = qp._newton_step(q.Q, upper, alpha, grad, free)
+            if new is alpha:  # the arc lowers the objective at every length
+                continue
+            shortened += 1
+            assert box_qp_value(q.Q, upper, new) >= start
+            np.testing.assert_allclose(new_grad, 1.0 - q.Q @ new, rtol=0, atol=1e-12)
+            assert np.array_equal(new[~free], alpha[~free])
+            assert any(
+                np.allclose(new[F], np.clip(alpha[F] + 0.5**j * d, 0.0, upper), rtol=0, atol=1e-9)
+                for j in range(1, qp._NEWTON_HALVINGS + 1)
+            )
+            sol = solve_box_qp(q)
+            _, best = enumerate_box_qp(q.Q, upper)
+            assert sol.converged
+            assert box_qp_value(q.Q, upper, sol.alpha) == pytest.approx(best, abs=1e-8)
+            prev = -np.inf
+            for iterations in range(1, sol.iterations + 1):
+                value = box_qp_value(q.Q, upper, solve_box_qp(q, max_iter=iterations).alpha)
+                assert value >= prev - 1e-12
+                prev = value
+        assert shortened >= 10
 
     def test_singular_free_block_falls_back_to_the_sweeps(self, monkeypatch):
         # duplicate rows of V make Q singular, so Cholesky refuses the free block
