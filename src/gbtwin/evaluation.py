@@ -160,23 +160,24 @@ _OPENBLAS_SETTERS = (
 def _openblas_thread_controls():
     """``(setter, shutdown)`` of every OpenBLAS this process has loaded.
 
-    numpy and scipy each load their own copy; both are found by path in
-    ``/proc/self/maps``. ``shutdown`` is the library's
-    ``blas_thread_shutdown_``, or None. Returns None where that file cannot
-    be read or a loaded OpenBLAS has none of ``_OPENBLAS_SETTERS``: its
-    threads could not be pinned in a worker, and forked workers left at
+    numpy and scipy each load their own copy; both are found by path, the
+    sixth field of a ``/proc/self/maps`` line (it may hold spaces).
+    ``shutdown`` is the library's ``blas_thread_shutdown_``, or None.
+    Returns None where that file cannot be read or a mapped OpenBLAS cannot
+    be opened (a `` (deleted)`` one) or has none of ``_OPENBLAS_SETTERS``:
+    its threads could not be pinned in a worker, and forked workers left at
     OpenBLAS's own thread count ran a grid search about 2x slower than
-    in-process. A BLAS other than OpenBLAS is not looked for and keeps its
-    own thread count.
+    in-process. A BLAS other than OpenBLAS keeps its own thread count.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+            paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in fh
+                     if "openblas" in line.lower() and "/" in line}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
     except OSError:
         return None
     controls = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
+    for lib in libs:
         setter = next((getattr(lib, s) for s in _OPENBLAS_SETTERS if hasattr(lib, s)), None)
         if setter is None:
             return None
@@ -223,9 +224,7 @@ def _grid_workers(fold_sets, jobs: int) -> int:
     One per CPU the process may use, at most one per fit, and no more than
     the physical memory holds of the largest dual matrix a fit builds
     (8 p^2 bytes, p the larger class of a fold's training part), since each
-    worker holds its own. A dual of ``qp._THREADED_Q_BYTES`` or more is
-    built on every CPU already, so such a search runs in-process and no
-    worker ever starts a thread pool of its own. So does a search where
+    worker holds its own and builds it on one thread. No worker runs where
     fork is unavailable or the caller is a daemonic process.
     """
     if ("fork" not in multiprocessing.get_all_start_methods()
@@ -233,13 +232,10 @@ def _grid_workers(fold_sets, jobs: int) -> int:
         return 1
     p = max((max(np.count_nonzero(t.labels > 0), np.count_nonzero(t.labels < 0))
              for t, _ in fold_sets), default=0)
-    dual_bytes = 8 * p * p
-    if dual_bytes >= qp._THREADED_Q_BYTES:
-        return 1
     workers = min(qp.usable_cpus(), jobs)
     limit = qp._physical_memory_bytes()
     if limit is not None:
-        workers = min(workers, limit // max(dual_bytes, 1))
+        workers = min(workers, limit // max(8 * p * p, 1))
     return workers
 
 
@@ -263,16 +259,16 @@ def grid_search_cv(
 
     The folds are split and granulated here; the (fold, combination) fits
     are then scored on a pool of forked worker processes, one per CPU the
-    process may use, each on one BLAS thread (``_grid_workers`` says how
-    many). With fewer than two, or where the thread count of a loaded
-    OpenBLAS cannot be set (``_openblas_thread_controls``), the same fits
-    run in-process. Every fit is independent and takes the same inputs
-    as in-process, so every table and selection is bit for bit the
-    in-process one. The error raised is that of the first failing fit in
-    job order (fold-major), with its type and message; after it the fits
-    not yet handed out are dropped and the workers finish their own. A
-    worker that dies without raising (killed by a signal, say) raises
-    ``BrokenProcessPool``. No worker outlives the call.
+    process may use, each on one BLAS thread and building its duals
+    serially (``_grid_workers`` says how many). With fewer than two, or
+    where the thread count of a loaded OpenBLAS cannot be set
+    (``_openblas_thread_controls``), the same fits run in-process. Every fit
+    is independent and takes the same inputs as in-process, so every table
+    and selection is bit for bit the in-process one. The error raised is
+    that of the first failing fit in job order (fold-major), with its type
+    and message; after it the fits not yet handed out are dropped and the
+    workers finish their own. A worker that dies without raising (killed by
+    a signal, say) raises ``BrokenProcessPool``. No worker outlives the call.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")

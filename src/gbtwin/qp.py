@@ -37,12 +37,14 @@ The row panels of ``V V'`` write disjoint parts of Q, so they are also the
 unit of parallel work: a Q of ``_THREADED_Q_BYTES`` (32 MiB, p >= 2048) or
 more is built on a thread pool with one thread per CPU in the process's
 affinity mask, with the same bits as the serial loop that builds every
-smaller Q. A Q larger than the machine's physical memory is refused before
-it is allocated.
+smaller Q and every Q of a process multiprocessing started (a grid-search
+worker), so no pool nests another. A Q larger than the machine's physical
+memory is refused before it is allocated.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -209,11 +211,13 @@ def _outer_in_panels(V):
     each other: a Q of ``_THREADED_Q_BYTES`` or more is built on a pool of
     one thread per CPU the process may use (at most one per panel), which
     takes the panels in order as each thread frees up and is shut down
-    before this returns. The bits do not depend on the thread count. A V
-    that is non-finite, or whose largest squared row norm passes
-    ``_ROW_NORM_SQ_MAX``, is rejected before Q is allocated: that bound also
-    bounds every |Q_ij|, so no product overflows. So is a Q whose ``8 p^2``
-    bytes exceed the physical memory, with a ``NumericalError`` naming both.
+    before this returns; a process multiprocessing started (a grid-search
+    worker, whose siblings hold the other CPUs) builds serially. The bits do
+    not depend on the thread count. A V that is non-finite, or whose largest
+    squared row norm passes ``_ROW_NORM_SQ_MAX``, is rejected before Q is
+    allocated: that bound also bounds every |Q_ij|, so no product overflows.
+    So is a Q whose ``8 p^2`` bytes exceed the physical memory, with a
+    ``NumericalError`` naming both.
     """
     V = np.ascontiguousarray(V, dtype=np.float64)
     if V.ndim != 2:
@@ -241,7 +245,7 @@ def _outer_in_panels(V):
 
     starts = range(0, p, _TILE)
     workers = 1
-    if Q.nbytes >= _THREADED_Q_BYTES:
+    if Q.nbytes >= _THREADED_Q_BYTES and multiprocessing.parent_process() is None:
         workers = min(usable_cpus(), len(starts))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:

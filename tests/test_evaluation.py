@@ -1,9 +1,12 @@
+import ctypes
 import faulthandler
+import io
 import math
 import multiprocessing
 import multiprocessing.process
 import os
-from concurrent.futures import ProcessPoolExecutor
+import types
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -407,7 +410,7 @@ class TestGridSearchPool:
         assert (best2, table2) == (best1, table1)
         assert started == []
 
-    def test_workers_fit_in_memory_and_below_threaded_duals(self, monkeypatch):
+    def test_workers_fit_in_memory(self, monkeypatch):
         monkeypatch.setattr(qp, "usable_cpus", lambda: 4)
         dual = 8 * 100 * 100
         monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 3 * dual - 1)
@@ -415,9 +418,65 @@ class TestGridSearchPool:
         assert evaluation._grid_workers(_fold_sets(100), jobs=1) == 1
         monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: None)
         assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 4
-        # a dual built on every CPU already: in-process
         assert evaluation._grid_workers(_fold_sets(2047), jobs=10) == 4
-        assert evaluation._grid_workers(_fold_sets(2048), jobs=10) == 1
+
+    def test_workers_build_threaded_size_duals_serially(self, monkeypatch, started, watchdog):
+        # every dual of this raw grid has 2 or more panels and reaches the bound
+        monkeypatch.setattr(qp, "_THREADED_Q_BYTES", 8 * (qp._TILE + 1) ** 2)
+        caller = os.getpid()
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                assert os.getpid() == caller, "a grid-search worker started a thread pool"
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(qp, "ThreadPoolExecutor", Pool)
+        d = make_blobs(600, seed=4, spread=1.2, distance=2.0)
+        template = ModelConfig(granulate=False, feature_space="original", seed=0)
+        grid = {"d": [0.1, 10.0], "h": [3], "activation": [2]}
+        for fold in kfold_indices(d.n, 3, 7):
+            labels = np.delete(d.labels, fold)
+            assert min(np.count_nonzero(labels > 0), np.count_nonzero(labels < 0)) > qp._TILE
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 1)
+        best1, table1 = grid_search_cv(d, template, folds=3, grid=grid, seed=7)
+        assert started == [] and pools == []
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        best2, table2 = grid_search_cv(d, template, folds=3, grid=grid, seed=7)
+        assert len(started) == 2 and pools == []
+        assert (best2, table2) == (best1, table1)
+        assert multiprocessing.active_children() == []
+        # the same size of dual built in this process still takes the pool
+        V = np.random.default_rng(3).normal(size=(qp._TILE + 1, 3))
+        qp.BoxQP(qp.LowRank(V), 1.0)
+        assert pools == [2]
+
+    def test_openblas_paths_may_hold_spaces(self, monkeypatch, tmp_path):
+        # a maps line's pathname is its sixth field; no OpenBLAS is opened here
+        lib = tmp_path / "space dir" / "libscipy_openblas64_-x.so"
+        lib.parent.mkdir()
+        lib.touch()
+        opened = []
+
+        def dlopen(path):
+            opened.append(path)
+            if not os.path.exists(path):
+                raise OSError(f"{path}: cannot open shared object file")
+            return types.SimpleNamespace(scipy_openblas_set_num_threads64_=lambda n: None)
+
+        def maps(*paths):
+            text = "".join(f"7f00-7f01 r-xp 00000000 08:01 42    {p}\n" for p in paths)
+            monkeypatch.setattr(evaluation, "open", lambda *a, **k: io.StringIO(text),
+                                raising=False)
+
+        monkeypatch.setattr(ctypes, "CDLL", dlopen)
+        maps(lib, lib, "[heap]")
+        controls = evaluation._openblas_thread_controls()
+        assert opened == [str(lib)] and len(controls) == 1
+        # mapped, then removed or replaced on disk: it cannot be pinned
+        maps(lib, f"{tmp_path}/gone/libscipy_openblas64_-y.so (deleted)")
+        assert evaluation._openblas_thread_controls() is None
 
     def test_worker_runs_no_blas_thread(self):
         # after a fork, setting OpenBLAS's thread count restarts its thread
