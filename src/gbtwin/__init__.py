@@ -24,7 +24,6 @@ from .evaluation import (
 from .features import RandomLayer, activate, enhanced_features, hidden_features, init_random_layer
 from .granular import GranularBall, GranularBallSet, generate_granular_balls, two_means
 from .model import (
-    FitError,
     ModelConfig,
     RVFLModel,
     TwinModel,

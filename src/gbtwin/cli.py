@@ -491,7 +491,7 @@ def main(argv=None) -> int:
     except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, md.FitError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -103,8 +103,7 @@ def _read_rows(path, has_header: bool) -> tuple[list[list[str]], list[int]]:
     Skips the first line when ``has_header``. Rejects a file with no data row
     and a row whose width differs from the first data row's.
     """
-    rows = []
-    line_numbers = []
+    rows, line_numbers = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -122,6 +121,23 @@ def _read_rows(path, has_header: bool) -> tuple[list[list[str]], list[int]]:
         if len(row) != width:
             raise DataError(f"malformed row {lineno}: expected {width} columns")
     return rows, line_numbers
+
+
+def _numeric_rows(rows, line_numbers, cols, what: str) -> np.ndarray:
+    """Cells ``cols`` of every row as floats, parsed a row at a time; a bad row is
+    a DataError naming its first non-numeric cell, a ``what``, by line and column."""
+    out = np.empty((len(rows), len(cols)))
+    for i, row in enumerate(rows):
+        try:
+            out[i] = [float(row[j]) for j in cols]
+        except ValueError:
+            for j in cols:
+                try:
+                    float(row[j])
+                except ValueError:
+                    raise DataError(f"non-numeric {what} at row {line_numbers[i]}, "
+                                    f"column {j + 1}: {row[j]!r}") from None
+    return out
 
 
 def load_csv(
@@ -157,17 +173,8 @@ def load_csv(
         )
 
     feature_cols = [j for j in range(width) if j != col]
-    feats = np.empty((len(rows), len(feature_cols)))
-    labs = np.empty(len(rows))
-    for i, (row, lineno) in enumerate(zip(rows, line_numbers)):
-        for k, j in enumerate(feature_cols):
-            try:
-                feats[i, k] = float(row[j])
-            except ValueError:
-                raise DataError(
-                    f"non-numeric feature {row[j]!r} at row {lineno}, column {j + 1}"
-                ) from None
-        labs[i] = 1.0 if row[col] == positive_label_token else -1.0
+    feats = _numeric_rows(rows, line_numbers, feature_cols, "feature")
+    labs = np.array([1.0 if row[col] == positive_label_token else -1.0 for row in rows])
     return Dataset(feats, labs)
 
 
@@ -178,13 +185,7 @@ def load_features_csv(path, has_header: bool = False) -> np.ndarray:
     place that rejects non-finite rows.
     """
     rows, line_numbers = _read_rows(path, has_header)
-    feats = np.empty((len(rows), len(rows[0])))
-    for i, (row, lineno) in enumerate(zip(rows, line_numbers)):
-        try:
-            feats[i] = [float(cell) for cell in row]
-        except ValueError:
-            raise DataError(f"non-numeric cell at row {lineno}") from None
-    return feats
+    return _numeric_rows(rows, line_numbers, range(len(rows[0])), "cell")
 
 
 def write_csv(d: Dataset, path) -> None:

@@ -4,7 +4,8 @@
 whether the solver sees ball centers or raw samples, and ``feature_space``
 decides whether rows are used as-is, mapped through the random hidden layer,
 or concatenated with their hidden image. Prediction assigns the class of the
-nearer hyperplane measured in the same feature space the model was fit in.
+nearer hyperplane measured in the same feature space the model was fit in; a
+plane with an exactly zero normal is infinitely far from every row.
 
 ``fit`` maps its training rows in full, since the ridge Gram matrix needs all
 of them. When there are fewer rows k than columns c (a granulated fit in a
@@ -33,12 +34,6 @@ from .dataset import DataError, Dataset, scale_minmax
 from .granular import centers_matrix, generate_granular_balls
 
 MODEL_SCHEMA_VERSION = 1
-
-ZERO_NORMAL_TOL = 1e-12
-
-
-class FitError(Exception):
-    """Training failed to produce a usable pair of hyperplanes."""
 
 
 @dataclass(frozen=True)
@@ -174,8 +169,8 @@ def fit(
     every orthonormal basis, so each dual is the same problem and the planes
     agree with a fit on M up to rounding. When k >= c the planes are fit on M
     itself. Solver non-convergence is recorded in the diagnostics rather
-    than raised; a degenerate zero plane normal is an error because
-    prediction would divide by zero.
+    than raised. Every plane is kept, since how small a vanishing normal reads
+    depends on where the dual stopped; ``predict`` rules on a zero normal.
     """
     if not train.has_both_classes:
         raise DataError("single class in training data; both classes are required")
@@ -202,11 +197,6 @@ def fit(
     u2, sol2 = _plane(neg, pos, cfg.d2, cfg.delta, qp_tol, qp_max_iter)
     if span is not None:
         u1, u2 = qp.lift(span, np.column_stack([u1, u2])).T
-
-    if np.linalg.norm(u1[:-1]) <= ZERO_NORMAL_TOL or np.linalg.norm(u2[:-1]) <= ZERO_NORMAL_TOL:
-        raise FitError(
-            "degenerate zero hyperplane normal; lower delta or raise d1/d2"
-        )
 
     notes = []
     if not sol1.converged:
@@ -254,24 +244,33 @@ def _checked_input(mdl, X) -> np.ndarray:
 
 
 def _plane_distances(mdl: TwinModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized distances of raw rows to the two hyperplanes.
+    """Normalized distances ``|w . z + b| / |w|`` of raw rows to the two hyperplanes.
 
     Both planes are scored in one product with the stacked normals, block by
-    block; the offsets are added after.
+    block; the offsets are added after. A plane with an exactly zero normal,
+    or whose distance passes the float range, is at +inf; a row at +inf from
+    both planes, or whose ``|w . z + b|`` overflows, is a ``DataError``.
     """
     X = _checked_input(mdl, X)
     planes = np.column_stack([mdl.u1, mdl.u2])
     dist = _scores(mdl.config.feature_space, mdl.layer, X, planes[:-1])
     dist += planes[-1]
     np.abs(dist, out=dist)
-    dist /= np.linalg.norm(planes[:-1], axis=0)
     if not np.all(np.isfinite(dist)):
         raise DataError("input rows overflow the distances to the hyperplanes")
+    norms = np.linalg.norm(planes[:-1], axis=0)
+    if not norms.all():  # a zero normal's plane is at +inf: inf / 1, not 0 / 0
+        dist[:, norms == 0] = np.inf
+        norms[norms == 0] = 1.0
+    with np.errstate(over="ignore"):  # so is a distance past the float range
+        dist /= norms
+    if np.isinf(np.minimum(dist[:, 0], dist[:, 1])).any():
+        raise DataError("input rows are infinitely far from both hyperplanes, so nearer neither")
     return dist[:, 0], dist[:, 1]
 
 
 def decision_values(mdl: TwinModel, x) -> tuple[float, float]:
-    """Normalized distances of one raw sample to the two hyperplanes."""
+    """Normalized distances of one raw sample to the two hyperplanes; inf for a zero normal."""
     d1, d2 = _plane_distances(mdl, x)
     if d1.shape[0] != 1:
         raise DataError("decision_values takes a single sample row")

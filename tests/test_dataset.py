@@ -114,6 +114,28 @@ def test_load_features_csv_non_numeric_cell_names_its_line(tmp_path):
         load_features_csv(write(tmp_path, "1,2\n\noops,4\n"))
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (load_csv, "1,2,3,1\n4,x,y,-1\n5,6,z,1\n", "feature at row 2, column 2: 'x'$"),
+    (load_features_csv, "1,2\n3,4\n5,x\ny,z\n", "cell at row 3, column 2: 'x'$"),
+])
+def test_non_numeric_row_names_its_first_bad_cell(tmp_path, read, text, message):
+    with pytest.raises(DataError, match=message):
+        read(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: Dataset(np.ones((3, 2)), np.ones(2)), DataError, "does not match 3 rows"),
+    (lambda tmp: load_csv(write(tmp, "1\n-1\n")), DataError, "at least one feature column"),
+    (lambda tmp: load_csv(write(tmp, "1,2,1\n3,4,-1\n"), label_column=3), DataError,
+     "label column 3 out of range"),
+    (lambda tmp: split_train_test(generate_ndc(3, 2, 2, 1.0, seed=0), 0.2, seed=0), ValueError,
+     "leaves an empty split"),
+])
+def test_inconsistent_input_rejected(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
 class TestDatasetInvariants:
     def test_rejects_bad_labels(self):
         with pytest.raises(DataError, match="labels"):

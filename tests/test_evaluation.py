@@ -291,6 +291,20 @@ class TestGridSearch:
                            grid={"d": [], "h": [3], "activation": [1]}, seed=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: rank_models([[0.9], [0.8]]), "2 model columns"),
+    (lambda: friedman_test(rank_models([[0.9, 0.8, 0.7]])), "at least 2 dataset rows"),
+    (lambda: nemenyi_cd(1, 10, 1.96), "q >= 2 models"),
+    (lambda: nemenyi_cd(3, 0, 1.96), "P >= 1 datasets"),
+    (lambda: nemenyi_cd(3, 10, -1.0), "q_alpha must be non-negative"),
+    (lambda: grid_search_cv(make_blobs(40, seed=4), ModelConfig(
+        granulate=False, feature_space="original", seed=0), folds=1), "folds must be >= 2"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _threads_in_worker():
     return len(os.listdir("/proc/self/task"))
 
@@ -409,6 +423,18 @@ class TestGridSearchPool:
         best2, table2 = _pool_grid()
         assert (best2, table2) == (best1, table1)
         assert started == []
+
+    @pytest.mark.parametrize("no_fork, daemonic", [(True, False), (False, True)])
+    def test_no_worker_without_fork_or_under_a_daemonic_caller(self, monkeypatch, no_fork, daemonic):
+        monkeypatch.setattr(qp, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: None)
+        assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 4
+        if no_fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if daemonic:
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: types.SimpleNamespace(daemon=True))
+        assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 1
 
     def test_workers_fit_in_memory(self, monkeypatch):
         monkeypatch.setattr(qp, "usable_cpus", lambda: 4)

@@ -232,6 +232,10 @@ class TestMatchesReference:
 
 
 class TestCentersMatrix:
+    def test_empty_ball_set_rejected(self):
+        with pytest.raises(ValueError, match="empty granular ball set"):
+            centers_matrix(GranularBallSet(balls=(), n=0))
+
     def test_single_ball_mean(self):
         d = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
         g = generate_granular_balls(d, 0.9)

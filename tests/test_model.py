@@ -17,6 +17,7 @@ from gbtwin.dataset import (
     split_train_test,
 )
 from gbtwin import qp
+from gbtwin.cli import main as cli_main
 from gbtwin.features import init_random_layer
 from gbtwin.model import (
     _BLOCK_ROWS,
@@ -24,7 +25,6 @@ from gbtwin.model import (
     _plane_distances,
     _rvfl_space,
     FitDiagnostics,
-    FitError,
     ModelConfig,
     RVFLModel,
     TwinModel,
@@ -241,6 +241,84 @@ class TestPredict:
             predict(mdl, X)
         with pytest.raises(DataError, match="overflow"):
             decision_values(mdl, X[0])
+
+
+def zero_normals(mdl, *keys):
+    """``mdl`` with the normal of each named plane set to exactly zero."""
+    planes = {}
+    for key in keys:
+        u = getattr(mdl, key).copy()
+        u[:-1] = 0.0
+        planes[key] = u
+    return replace(mdl, **planes)
+
+
+class TestZeroNormal:
+    """A plane whose normal is exactly zero is at +inf from every row."""
+
+    @pytest.fixture
+    def fitted(self):
+        cfg = ModelConfig(granulate=True, feature_space="enhanced", seed=4, h=13)
+        return fit(cfg, make_blobs(60, seed=12))
+
+    @pytest.mark.parametrize("via_document", [False, True])
+    def test_one_zero_normal_sends_every_row_to_the_other_class(self, tmp_path, fitted, via_document):
+        mdl = zero_normals(fitted, "u1")
+        if via_document:
+            save_model(mdl, tmp_path / "model.json")
+            mdl = load_model(tmp_path / "model.json")
+        assert not np.any(mdl.u1[:-1])
+        probe = make_blobs(40, seed=13).features
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = predict(mdl, probe)
+            d1, d2 = decision_values(mdl, probe[0])
+        assert np.all(labels == -1.0)
+        assert d1 == np.inf
+        assert d2 == decision_values(fitted, probe[0])[1]
+
+    def test_two_zero_normals_are_a_data_error(self, fitted):
+        mdl = zero_normals(fitted, "u1", "u2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="infinitely far from both hyperplanes"):
+                predict(mdl, make_blobs(40, seed=13).features)
+
+    def test_cli_predict_with_two_zero_normals_exits_2(self, tmp_path, fitted, capsys):
+        save_model(zero_normals(fitted, "u1", "u2"), tmp_path / "model.json")
+        np.savetxt(tmp_path / "rows.csv", make_blobs(40, seed=13).features, delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["predict", "--model", str(tmp_path / "model.json"),
+                             "--data", str(tmp_path / "rows.csv"),
+                             "--out", str(tmp_path / "labels.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("data error: input rows are infinitely far")
+        assert not (tmp_path / "labels.csv").exists()
+
+    def test_distance_past_the_float_range_is_infinite(self):
+        far = manual_twin([1e-160, 0.0, 1e150], [0.0, 1.0, 0.0], m=2)
+        both_far = manual_twin([1e-160, 0.0, 1e150], [0.0, 1e-160, 1e150], m=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decision_values(far, [0.0, 0.0]) == (np.inf, 0.0)
+            assert predict(far, np.zeros((1, 2))).tolist() == [-1.0]
+            with pytest.raises(DataError, match="infinitely far from both hyperplanes"):
+                predict(both_far, np.zeros((1, 2)))
+
+    # acceptance criterion 3's third problem: the exact optimum of dual 1 has
+    # a zero normal, and the normal the solver returns shrinks with its stop
+    @pytest.mark.parametrize("stop", [
+        dict(qp_tol=1e-8), dict(qp_tol=1e-12), dict(qp_tol=1e-13), dict(qp_tol=1e-14),
+        dict(qp_max_iter=5),
+    ], ids=["tol-1e-8", "tol-1e-12", "tol-1e-13", "tol-1e-14", "max-iter-5"])
+    def test_fit_returns_a_plane_wherever_the_dual_stops(self, stop):
+        rng = np.random.default_rng(7)
+        data = Dataset(rng.normal(size=(8, 2)), np.array([1.0, -1.0] * 4))
+        mdl = fit(plain_config(d1=10.0, d2=0.1, delta=1e-4), data, **stop)
+        probe = np.random.default_rng(8).normal(size=(500, 2))
+        assert np.array_equal(predict(mdl, probe), predict(zero_normals(mdl, "u1"), probe))
 
 
 class TestRvflBaseline:

@@ -974,3 +974,23 @@ class TestRidgeIdentityProperty:
             x = rng.normal(size=c)
             rhs = (A.T @ A + delta * np.eye(c)) @ x
             assert np.allclose(solve_spd(g, rhs), x, atol=1e-8, rtol=1e-8)
+
+
+class TestSystemQueries:
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_physical_memory_unknown_where_sysconf_fails(self, monkeypatch, error):
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert qp._physical_memory_bytes() is None
+
+    def test_physical_memory_unknown_without_sysconf(self, monkeypatch):
+        monkeypatch.delattr(os, "sysconf")
+        assert qp._physical_memory_bytes() is None
+
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert qp.usable_cpus() == cpus
