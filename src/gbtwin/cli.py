@@ -5,6 +5,10 @@ fully resolved run configuration so a run can be replayed from its artifacts.
 Flags may also come from a ``key = value`` config file; its values pass
 through the same parsers as flags, and flags win.
 
+``main`` sets every loaded OpenBLAS to one thread before any command and
+never restores it, so a saved model does not depend on
+``OPENBLAS_NUM_THREADS``. Importing this module leaves BLAS as it is.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
@@ -32,7 +36,7 @@ from .dataset import (
     split_train_test,
     write_csv,
 )
-from .qp import NumericalError
+from .qp import NumericalError, one_blas_thread, openblas_thread_controls
 from .seeding import derive_seed
 
 NOISE_RATES = (0.0, 0.05, 0.10, 0.15, 0.20)
@@ -481,6 +485,7 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    one_blas_thread(openblas_thread_controls() or ())
     try:
         opts = vars(build_parser().parse_args(_with_config_flags(argv)))
         del opts["config"]  # the run_config holds the values the file supplied

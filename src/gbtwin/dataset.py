@@ -125,15 +125,18 @@ def _read_rows(path, has_header: bool) -> tuple[list[list[str]], list[int]]:
 
 def _numeric_rows(rows, line_numbers, cols, what: str) -> np.ndarray:
     """Cells ``cols`` of every row as floats, parsed a row at a time; a bad row is
-    a DataError naming its first non-numeric cell, a ``what``, by line and column."""
+    a DataError naming its first non-numeric cell, a ``what``, by line and column.
+    A cell holding ``_``, which ``float()`` reads as a digit separator, is one."""
     out = np.empty((len(rows), len(cols)))
     for i, row in enumerate(rows):
         try:
             out[i] = [float(row[j]) for j in cols]
+            if "_" in "".join(row) and any("_" in row[j] for j in cols):
+                raise ValueError
         except ValueError:
             for j in cols:
                 try:
-                    float(row[j])
+                    float(row[j].replace("_", "?"))
                 except ValueError:
                     raise DataError(f"non-numeric {what} at row {line_numbers[i]}, "
                                     f"column {j + 1}: {row[j]!r}") from None
@@ -174,6 +177,10 @@ def load_csv(
 
     feature_cols = [j for j in range(width) if j != col]
     feats = _numeric_rows(rows, line_numbers, feature_cols, "feature")
+    if not np.isfinite(feats).all():
+        i, k = np.argwhere(~np.isfinite(feats))[0]
+        raise DataError(f"non-finite feature at row {line_numbers[i]}, "
+                        f"column {feature_cols[k] + 1}: {rows[i][feature_cols[k]]!r}")
     labs = np.array([1.0 if row[col] == positive_label_token else -1.0 for row in rows])
     return Dataset(feats, labs)
 
@@ -203,11 +210,14 @@ def minmax_ranges(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def scale_minmax(X, lo, hi) -> np.ndarray:
     """Map columns from [lo, hi] to [0, 1]; a column with hi <= lo is only shifted."""
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    with np.errstate(over="ignore"):  # overflow gives inf; callers check finiteness
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+        span = hi - lo
+        safe = np.where(span > 0, span, 1.0)
         out = X - lo
         out /= safe  # in place, so only one temporary of X's size is held
+    wide = np.isinf(span)
+    if wide.any():  # hi - lo overflowed; by halves no finite X overflows
+        out[:, wide] = (X[:, wide] / 2 - lo[wide] / 2) / (hi[wide] / 2 - lo[wide] / 2)
     return out
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import json
 import multiprocessing
@@ -146,65 +145,13 @@ _grid_work = None
 # jobs handed to a worker at a time; on the benchmark's 135-fit grid any
 # value from 3 to 27 ran within noise of the others
 _GRID_CHUNK = 9
-# OpenBLAS's thread-count setters: the scipy-openblas builds in numpy 2 and
-# recent scipy wheels prefix them, older wheels' builds do not, and the 64_
-# suffix marks the 64-bit-integer build numpy uses
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _openblas_thread_controls():
-    """``(setter, shutdown)`` of every OpenBLAS this process has loaded.
-
-    numpy and scipy each load their own copy; both are found by path, the
-    sixth field of a ``/proc/self/maps`` line (it may hold spaces).
-    ``shutdown`` is the library's ``blas_thread_shutdown_``, or None.
-    Returns None where that file cannot be read or a mapped OpenBLAS cannot
-    be opened (a `` (deleted)`` one) or has none of ``_OPENBLAS_SETTERS``:
-    its threads could not be pinned in a worker, and forked workers left at
-    OpenBLAS's own thread count ran a grid search about 2x slower than
-    in-process. A BLAS other than OpenBLAS keeps its own thread count.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in fh
-                     if "openblas" in line.lower() and "/" in line}
-        libs = [ctypes.CDLL(path) for path in sorted(paths)]
-    except OSError:
-        return None
-    controls = []
-    for lib in libs:
-        setter = next((getattr(lib, s) for s in _OPENBLAS_SETTERS if hasattr(lib, s)), None)
-        if setter is None:
-            return None
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        shutdown = getattr(lib, "blas_thread_shutdown_", None)
-        if shutdown is not None:
-            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-        controls.append((setter, shutdown))
-    return controls
 
 
 def _start_grid_worker(cfgs, fold_sets, blas) -> None:
-    """Keep the grid search's work and set every OpenBLAS to one thread.
-
-    OpenBLAS was loaded before the fork, so no environment variable reaches
-    it now; left alone, every worker's BLAS threads contend for the CPUs.
-    After a fork the setter restarts the thread pool that OpenBLAS's fork
-    handler shut down, and each idle pool thread spins for about 0.1 s of
-    CPU; so the pool is shut down again, with the function that handler
-    calls. At one thread OpenBLAS never restarts it.
-    """
+    """Keep the grid search's work and set every OpenBLAS to one thread."""
     global _grid_work
     _grid_work = cfgs, fold_sets
-    for setter, shutdown in blas:
-        setter(1)
-        if shutdown is not None:
-            shutdown()
+    qp.one_blas_thread(blas)
 
 
 def _score(job, cfgs, fold_sets) -> float:
@@ -221,19 +168,18 @@ def _score_in_worker(job) -> float:
 def _grid_workers(fold_sets, jobs: int) -> int:
     """Worker processes to score a grid search's fits on; below 2, none.
 
-    One per CPU the process may use, at most one per fit, and no more than
-    the physical memory holds of the largest dual matrix a fit builds
-    (8 p^2 bytes, p the larger class of a fold's training part), since each
-    worker holds its own and builds it on one thread. No worker runs where
-    fork is unavailable or the caller is a daemonic process.
+    One per CPU ``qp.usable_cpus`` gives this process, at most one per fit,
+    and no more than the physical memory holds of the largest dual matrix a
+    fit builds (8 p^2 bytes, p the larger class of a fold's training part),
+    since each worker holds its own and builds it on one thread. No worker
+    runs where fork is unavailable.
     """
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     p = max((max(np.count_nonzero(t.labels > 0), np.count_nonzero(t.labels < 0))
              for t, _ in fold_sets), default=0)
     workers = min(qp.usable_cpus(), jobs)
-    limit = qp._physical_memory_bytes()
+    limit = qp.physical_memory_bytes()
     if limit is not None:
         workers = min(workers, limit // max(8 * p * p, 1))
     return workers
@@ -259,16 +205,17 @@ def grid_search_cv(
 
     The folds are split and granulated here; the (fold, combination) fits
     are then scored on a pool of forked worker processes, one per CPU the
-    process may use, each on one BLAS thread and building its duals
-    serially (``_grid_workers`` says how many). With fewer than two, or
-    where the thread count of a loaded OpenBLAS cannot be set
-    (``_openblas_thread_controls``), the same fits run in-process. Every fit
-    is independent and takes the same inputs as in-process, so every table
-    and selection is bit for bit the in-process one. The error raised is
-    that of the first failing fit in job order (fold-major), with its type
-    and message; after it the fits not yet handed out are dropped and the
-    workers finish their own. A worker that dies without raising (killed by
-    a signal, say) raises ``BrokenProcessPool``. No worker outlives the call.
+    process may use (``_grid_workers`` says how many), each on one BLAS
+    thread and, as ``qp.usable_cpus`` is 1 there, starting no thread pool
+    or process of its own. With fewer than two, or where the thread count
+    of a loaded OpenBLAS cannot be set (``qp.openblas_thread_controls``),
+    the same fits run in-process. Every fit is independent and takes the
+    same inputs as in-process, so every table and selection is bit for bit
+    the in-process one. The error raised is that of the first failing fit
+    in job order (fold-major), with its type and message; after it the fits
+    not yet handed out are dropped and the workers finish their own. A
+    worker that dies without raising (killed by a signal, say) raises
+    ``BrokenProcessPool``. No worker outlives the call.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -300,7 +247,7 @@ def grid_search_cv(
         fold_sets.append((cv_train, train.take(fold)))
     jobs = list(itertools.product(range(len(fold_sets)), range(len(cfgs))))
     workers = _grid_workers(fold_sets, len(jobs))
-    blas = _openblas_thread_controls() if workers >= 2 else None
+    blas = qp.openblas_thread_controls() if workers >= 2 else None
     if blas is None:
         scores = [_score(job, cfgs, fold_sets) for job in jobs]
     else:

@@ -35,15 +35,17 @@ dual holds one p x p matrix, not two.
 
 The row panels of ``V V'`` write disjoint parts of Q, so they are also the
 unit of parallel work: a Q of ``_THREADED_Q_BYTES`` (32 MiB, p >= 2048) or
-more is built on a thread pool with one thread per CPU in the process's
-affinity mask, with the same bits as the serial loop that builds every
-smaller Q and every Q of a process multiprocessing started (a grid-search
-worker), so no pool nests another. A Q larger than the machine's physical
-memory is refused before it is allocated.
+more is built on a thread pool of ``usable_cpus()`` threads, with the same
+bits as the serial loop that builds every smaller Q. A Q larger than the
+machine's physical memory is refused before it is allocated. This module
+owns every decision on how many CPUs and BLAS threads a process may fill:
+``usable_cpus`` and ``one_blas_thread``, which the grid search's workers
+and the CLI call. Importing the package leaves BLAS as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -74,6 +76,15 @@ _THREADED_Q_BYTES = 32 << 20
 _NEWTON_HALVINGS = 8
 # a row of V with |V_i|^2 below this bound keeps every entry of V V' finite
 _ROW_NORM_SQ_MAX = np.finfo(np.float64).max / 4
+# OpenBLAS's thread-count setters: the scipy-openblas builds in numpy 2 and
+# recent scipy wheels prefix them, older wheels' builds do not, and the 64_
+# suffix marks the 64-bit-integer build numpy uses
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 class NumericalError(Exception):
@@ -186,7 +197,7 @@ class LowRank:
     V: np.ndarray
 
 
-def _physical_memory_bytes():
+def physical_memory_bytes():
     """Bytes of physical memory, or None where the system does not say."""
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -195,10 +206,63 @@ def _physical_memory_bytes():
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    """CPUs this process may fill with threads or worker processes: one in
+    any process multiprocessing started (a grid-search worker, or a caller's
+    pool worker, daemonic or not), whose siblings hold the others; otherwise
+    its affinity mask, else the CPU count."""
+    if multiprocessing.parent_process() is not None:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def openblas_thread_controls():
+    """``(setter, shutdown)`` of every OpenBLAS this process has loaded.
+
+    numpy and scipy each load their own copy; both are found by path, the
+    sixth field of a ``/proc/self/maps`` line (it may hold spaces).
+    ``shutdown`` is the library's ``blas_thread_shutdown_``, or None.
+    Returns None where that file cannot be read or a mapped OpenBLAS cannot
+    be opened (a `` (deleted)`` one) or has none of ``_OPENBLAS_SETTERS``,
+    since its threads could not be pinned. A BLAS other than OpenBLAS keeps
+    its own thread count.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in fh
+                     if "openblas" in line.lower() and "/" in line}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return None
+    controls = []
+    for lib in libs:
+        setter = next((getattr(lib, s) for s in _OPENBLAS_SETTERS if hasattr(lib, s)), None)
+        if setter is None:
+            return None
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+        controls.append((setter, shutdown))
+    return controls
+
+
+def one_blas_thread(controls) -> None:
+    """Set every OpenBLAS in ``controls`` to one thread and stop its pool.
+
+    No environment variable reaches a library already loaded, and pools left
+    at OpenBLAS's own size in several processes contend for the CPUs (forked
+    grid workers ran a grid search about 2x slower than in-process). Setting
+    the count in a forked child restarts the thread pool that OpenBLAS's fork
+    handler shut down, and each idle pool thread spins for about 0.1 s of
+    CPU; so the pool is shut down again, with the function that handler
+    calls. At one thread OpenBLAS never restarts it.
+    """
+    for setter, shutdown in controls:
+        setter(1)
+        if shutdown is not None:
+            shutdown()
 
 
 def _outer_in_panels(V):
@@ -209,15 +273,13 @@ def _outer_in_panels(V):
     exactly symmetric and holds the bits of the upper triangle. Panel ``s``
     writes only ``Q[s:e, s:]`` and ``Q[e:, s:e]``, so panels do not depend on
     each other: a Q of ``_THREADED_Q_BYTES`` or more is built on a pool of
-    one thread per CPU the process may use (at most one per panel), which
-    takes the panels in order as each thread frees up and is shut down
-    before this returns; a process multiprocessing started (a grid-search
-    worker, whose siblings hold the other CPUs) builds serially. The bits do
-    not depend on the thread count. A V that is non-finite, or whose largest
-    squared row norm passes ``_ROW_NORM_SQ_MAX``, is rejected before Q is
-    allocated: that bound also bounds every |Q_ij|, so no product overflows.
-    So is a Q whose ``8 p^2`` bytes exceed the physical memory, with a
-    ``NumericalError`` naming both.
+    ``usable_cpus()`` threads (at most one per panel), which takes the
+    panels in order as each thread frees up and is shut down before this
+    returns. The bits do not depend on the thread count. A V that is
+    non-finite, or whose largest squared row norm passes ``_ROW_NORM_SQ_MAX``,
+    is rejected before Q is allocated: that bound also bounds every |Q_ij|,
+    so no product overflows. So is a Q whose ``8 p^2`` bytes exceed the
+    physical memory, with a ``NumericalError`` naming both.
     """
     V = np.ascontiguousarray(V, dtype=np.float64)
     if V.ndim != 2:
@@ -227,7 +289,7 @@ def _outer_in_panels(V):
     if not float(row_norm_sq.max(initial=0.0)) <= _ROW_NORM_SQ_MAX:
         raise NumericalError("Q contains non-finite entries")
     p = V.shape[0]
-    limit = _physical_memory_bytes()
+    limit = physical_memory_bytes()
     if limit is not None and 8 * p * p > limit:
         raise NumericalError(
             f"the {p} x {p} dual matrix needs {8 * p * p} bytes, "
@@ -245,7 +307,7 @@ def _outer_in_panels(V):
 
     starts = range(0, p, _TILE)
     workers = 1
-    if Q.nbytes >= _THREADED_Q_BYTES and multiprocessing.parent_process() is None:
+    if Q.nbytes >= _THREADED_Q_BYTES:
         workers = min(usable_cpus(), len(starts))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:

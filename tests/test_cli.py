@@ -16,6 +16,8 @@ from gbtwin.dataset import generate_ndc, write_csv
 from gbtwin.evaluation import nemenyi_cd, read_report
 from gbtwin.model import _BLOCK_ROWS, ModelConfig, load_model, predict
 
+from _system import set_cpus
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -39,6 +41,34 @@ class TestStartup:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
+
+    def test_main_pins_blas_and_import_does_not(self, tmp_path, blob_csv):
+        # both OpenBLAS copies start on two threads (one per CPU at most);
+        # importing the CLI keeps them, and main leaves each on one
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        code = (
+            "import json, sys, scipy.linalg\n"
+            "from _system import openblas_thread_counts as counts\n"
+            "before = counts()\n"
+            "import gbtwin.cli\n"
+            "imported = counts()\n"
+            "code = gbtwin.cli.main(sys.argv[2:])\n"
+            "json.dump([before, imported, counts(), code], open(sys.argv[1], 'w'))\n"
+        )
+        counts = tmp_path / "counts.json"
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(counts), "train", "--variant", "tsvm", "--data",
+             str(blob_csv), "--seed", "1", "--out", str(tmp_path / "m.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        before, imported, pinned, exit_code = json.loads(counts.read_text())
+        assert exit_code == 0
+        assert before == [min(2, qp.usable_cpus())] * 2
+        assert imported == before
+        assert pinned == [1, 1]
 
 
 class TestTrainPredict:
@@ -133,6 +163,22 @@ class TestTrainPredict:
         code = run("train", "--variant", "tsvm", "--data", path,
                    "--seed", 1, "--out", tmp_path / "m.json")
         assert code == 2
+
+    def test_train_on_a_column_wider_than_the_float_range(self, tmp_path, capsys):
+        # every input is finite, though the first column's max - min is not
+        path = tmp_path / "wide.csv"
+        path.write_text("-1e308,0.1,1\n1e308,0.9,-1\n-5e307,0.2,1\n5e307,0.8,-1\n")
+        assert run("train", "--variant", "tsvm", "--data", path, "--seed", 1,
+                   "--out", tmp_path / "m.json") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_train_on_a_nan_cell_names_it(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1,2,1\n3,nan,-1\n")
+        assert run("train", "--variant", "tsvm", "--data", path, "--seed", 1,
+                   "--out", tmp_path / "m.json") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: non-finite feature at row 2, column 2: 'nan'"]
 
     def test_gridsearch_with_every_combination_skipped_is_data_error(self, tmp_path, capsys):
         # with seed 2 the held-out split takes the only -1 row, so every
@@ -473,7 +519,7 @@ class TestExitCodes:
         self, tmp_path, blob_csv, capsys, monkeypatch
     ):
         # the limit is lowered so that no dual fits; nothing large is allocated
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 8)
         model = tmp_path / "m.json"
         assert run("train", "--variant", "tsvm", "--data", blob_csv, "--seed", 1,
                    "--out", model) == 3
@@ -487,8 +533,8 @@ class TestExitCodes:
         self, tmp_path, blob_csv, capfd, monkeypatch
     ):
         # no worker fits beside the refused dual, so the fits run in-process
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 8)
+        set_cpus(monkeypatch, 2)
         out = tmp_path / "grid.json"
         assert run("gridsearch", "--data", blob_csv, "--seed", 3, "--variant", "tsvm",
                    "--folds", 3, "--grid-d", "0.1,1", "--out", out) == 3
@@ -503,7 +549,7 @@ class TestExitCodes:
         # every fit runs in a worker process; its error reaches main, and
         # the workers print nothing of their own
         monkeypatch.setattr(qp, "_ROW_NORM_SQ_MAX", -1.0)
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        set_cpus(monkeypatch, 2)
         out = tmp_path / "grid.json"
         assert run("gridsearch", "--data", blob_csv, "--seed", 3, "--variant", "tsvm",
                    "--folds", 3, "--grid-d", "0.1,1", "--out", out) == 3

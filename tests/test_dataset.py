@@ -77,6 +77,25 @@ class TestLoadCsv:
         X = load_features_csv(write(tmp_path, "1.5,2\n3,4\n"))
         assert X.tolist() == [[1.5, 2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature_names_its_line_and_column(self, tmp_path, cell):
+        with pytest.raises(DataError, match=f"^non-finite feature at row 3, column 2: '{cell}'$"):
+            load_csv(write(tmp_path, f"1,2,1\n\n3,{cell},-1\n4,nan,1\n"))
+
+    def test_load_features_csv_reads_nan_and_inf(self, tmp_path):
+        X = load_features_csv(write(tmp_path, "nan,1\n2,inf\n"))
+        assert np.isnan(X[0, 0]) and X[1, 1] == np.inf
+
+    @pytest.mark.parametrize("read, what", [(load_csv, "feature"), (load_features_csv, "cell")])
+    def test_digit_separator_is_non_numeric(self, tmp_path, read, what):
+        with pytest.raises(DataError, match=f"non-numeric {what} at row 2, column 1: '1_0'$"):
+            read(write(tmp_path, "1,4,1\n1_0,4,-1\n"))
+
+    def test_label_token_may_hold_an_underscore(self, tmp_path):
+        d = load_csv(write(tmp_path, "1,2,is_a\n3,4,not_a\n"), positive_label_token="is_a")
+        assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert d.labels.tolist() == [1.0, -1.0]
+
 
 def _table(d):
     return np.column_stack([d.features, d.labels])
@@ -223,6 +242,10 @@ class TestNormalize:
         d = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
         assert normalize_minmax(d).features[:, 0].tolist() == [0.0, 1.0]
 
+    def test_column_wider_than_the_float_range(self):
+        d = Dataset(np.array([[-1e308, 1.0], [1e308, 3.0], [0.0, 2.0]]), np.array([1.0, -1.0, 1.0]))
+        assert normalize_minmax(d).features.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]
+
     def test_reference_ranges_may_leave_unit_interval(self):
         train = Dataset(np.array([[0.0], [2.0]]), np.array([1.0, -1.0]))
         test = Dataset(np.array([[4.0]]), np.array([1.0]))
@@ -249,6 +272,15 @@ class TestScaleMinmax:
         hi[1] = lo[1]  # a constant column is only shifted
         expected = (X - lo) / np.where(hi - lo > 0, hi - lo, 1.0)
         assert np.array_equal(scale_minmax(X, lo, hi), expected)
+
+    def test_column_wider_than_the_float_range(self):
+        # hi - lo overflows in the first column, which is scaled by halves;
+        # the second keeps the bits of the plain formula
+        X = np.array([[-1e308, 1.0], [1e308, 3.0], [0.0, 2.5], [1e308, 7.0]])
+        lo, hi = np.array([-1e308, 1.0]), np.array([1e308, 3.0])
+        out = scale_minmax(X, lo, hi)
+        assert out[:, 0].tolist() == [0.0, 1.0, 0.5, 1.0]
+        assert np.array_equal(out[:, 1], (X[:, 1] - 1.0) / 2.0)
 
     def test_holds_one_matrix_beside_its_input(self):
         # the result is the only temporary of X's size; subtracting and then

@@ -44,6 +44,7 @@ from _reference_tables import (
     REPORTED_RANK_ROWS,
 )
 from _synth import make_blobs
+from _system import openblas_thread_counts, set_cpus
 
 
 class TestMetrics:
@@ -309,6 +310,17 @@ def _threads_in_worker():
     return len(os.listdir("/proc/self/task"))
 
 
+def _grid_and_processes_started():
+    """``_pool_grid()`` and the number of processes it started, run in a pool worker."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    multiprocessing.process.BaseProcess.start = lambda proc: started.append(proc) or start(proc)
+    try:
+        return _pool_grid(), len(started)
+    finally:
+        multiprocessing.process.BaseProcess.start = start
+
+
 def _pool_grid():
     """A granulated enhanced grid search: 8 combinations x 3 folds = 24 fits."""
     d = make_blobs(90, seed=5, spread=1.2, distance=2.0)
@@ -346,10 +358,10 @@ class TestGridSearchPool:
         faulthandler.cancel_dump_traceback_later()
 
     def test_pool_gives_the_in_process_table_and_selection(self, monkeypatch, started):
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 1)
+        set_cpus(monkeypatch, 1)
         best1, table1 = _pool_grid()
         assert started == []  # one CPU: in-process, no process started
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        set_cpus(monkeypatch, 2)
         best2, table2 = _pool_grid()
         assert len(started) == 2
         assert table2 == table1
@@ -358,7 +370,7 @@ class TestGridSearchPool:
         assert multiprocessing.active_children() == []
 
     def test_one_worker_per_job_when_jobs_are_fewer_than_cpus(self, monkeypatch, started):
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 8)
+        set_cpus(monkeypatch, 8)
         d = make_blobs(40, seed=1)
         template = ModelConfig(granulate=False, feature_space="original", seed=0)
         grid = {"d": [1.0], "h": [3], "activation": [2]}
@@ -368,10 +380,10 @@ class TestGridSearchPool:
 
     def test_refused_dual_is_the_in_process_error(self, monkeypatch, started):
         # every fit's dual is refused, and no worker fits beside it in memory
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8)
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 8)
         errors = []
         for cpus in (1, 2):
-            monkeypatch.setattr(qp, "usable_cpus", lambda: cpus)
+            set_cpus(monkeypatch, cpus)
             with pytest.raises(qp.NumericalError) as err:
                 _pool_grid()
             errors.append((type(err.value), str(err.value)))
@@ -384,7 +396,7 @@ class TestGridSearchPool:
         monkeypatch.setattr(qp, "_ROW_NORM_SQ_MAX", -1.0)
         errors = []
         for cpus in (1, 2):
-            monkeypatch.setattr(qp, "usable_cpus", lambda: cpus)
+            set_cpus(monkeypatch, cpus)
             with pytest.raises(qp.NumericalError) as err:
                 _pool_grid()
             errors.append((type(err.value), str(err.value)))
@@ -394,7 +406,7 @@ class TestGridSearchPool:
 
     def test_error_path_does_not_hang(self, monkeypatch, watchdog):
         monkeypatch.setattr(qp, "_ROW_NORM_SQ_MAX", -1.0)
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 4)
+        set_cpus(monkeypatch, 4)
         for _ in range(30):
             with pytest.raises(qp.NumericalError):
                 _pool_grid()
@@ -408,41 +420,50 @@ class TestGridSearchPool:
             os._exit(1)
 
         monkeypatch.setattr(evaluation, "fit", die_in_worker)
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        set_cpus(monkeypatch, 2)
         with pytest.raises(BrokenProcessPool):
             _pool_grid()
         assert multiprocessing.active_children() == []
 
     def test_unpinnable_openblas_runs_in_process(self, monkeypatch, started):
-        assert evaluation._openblas_thread_controls()  # numpy's OpenBLAS at least
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 1)
+        assert qp.openblas_thread_controls()  # numpy's OpenBLAS at least
+        set_cpus(monkeypatch, 1)
         best1, table1 = _pool_grid()
-        monkeypatch.setattr(evaluation, "_OPENBLAS_SETTERS", ("no_such_setter",))
-        assert evaluation._openblas_thread_controls() is None
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(qp, "_OPENBLAS_SETTERS", ("no_such_setter",))
+        assert qp.openblas_thread_controls() is None
+        set_cpus(monkeypatch, 2)
         best2, table2 = _pool_grid()
         assert (best2, table2) == (best1, table1)
         assert started == []
 
     @pytest.mark.parametrize("no_fork, daemonic", [(True, False), (False, True)])
     def test_no_worker_without_fork_or_under_a_daemonic_caller(self, monkeypatch, no_fork, daemonic):
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 4)
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: None)
+        set_cpus(monkeypatch, 4)
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: None)
         assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 4
         if no_fork:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        if daemonic:
-            monkeypatch.setattr(multiprocessing, "current_process",
-                                lambda: types.SimpleNamespace(daemon=True))
+        if daemonic:  # a daemonic process is one that multiprocessing started
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 1
 
+    def test_grid_in_a_non_daemonic_pool_worker_starts_no_process(self, monkeypatch, watchdog):
+        # a caller's ProcessPoolExecutor worker is not daemonic, but its
+        # siblings may hold the other CPUs, as the grid's own workers do
+        set_cpus(monkeypatch, 2)
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=ctx) as pool:
+            in_worker, started = pool.submit(_grid_and_processes_started).result()
+        assert started == 0
+        assert in_worker == _pool_grid()
+
     def test_workers_fit_in_memory(self, monkeypatch):
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 4)
+        set_cpus(monkeypatch, 4)
         dual = 8 * 100 * 100
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 3 * dual - 1)
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 3 * dual - 1)
         assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 2
         assert evaluation._grid_workers(_fold_sets(100), jobs=1) == 1
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: None)
         assert evaluation._grid_workers(_fold_sets(100), jobs=10) == 4
         assert evaluation._grid_workers(_fold_sets(2047), jobs=10) == 4
 
@@ -465,10 +486,10 @@ class TestGridSearchPool:
         for fold in kfold_indices(d.n, 3, 7):
             labels = np.delete(d.labels, fold)
             assert min(np.count_nonzero(labels > 0), np.count_nonzero(labels < 0)) > qp._TILE
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 1)
+        set_cpus(monkeypatch, 1)
         best1, table1 = grid_search_cv(d, template, folds=3, grid=grid, seed=7)
         assert started == [] and pools == []
-        monkeypatch.setattr(qp, "usable_cpus", lambda: 2)
+        set_cpus(monkeypatch, 2)
         best2, table2 = grid_search_cv(d, template, folds=3, grid=grid, seed=7)
         assert len(started) == 2 and pools == []
         assert (best2, table2) == (best1, table1)
@@ -493,26 +514,34 @@ class TestGridSearchPool:
 
         def maps(*paths):
             text = "".join(f"7f00-7f01 r-xp 00000000 08:01 42    {p}\n" for p in paths)
-            monkeypatch.setattr(evaluation, "open", lambda *a, **k: io.StringIO(text),
-                                raising=False)
+            monkeypatch.setattr(qp, "open", lambda *a, **k: io.StringIO(text), raising=False)
 
         monkeypatch.setattr(ctypes, "CDLL", dlopen)
         maps(lib, lib, "[heap]")
-        controls = evaluation._openblas_thread_controls()
+        controls = qp.openblas_thread_controls()
         assert opened == [str(lib)] and len(controls) == 1
         # mapped, then removed or replaced on disk: it cannot be pinned
         maps(lib, f"{tmp_path}/gone/libscipy_openblas64_-y.so (deleted)")
-        assert evaluation._openblas_thread_controls() is None
+        assert qp.openblas_thread_controls() is None
 
     def test_worker_runs_no_blas_thread(self):
         # after a fork, setting OpenBLAS's thread count restarts its thread
-        # pool, whose idle threads spin; the worker must end up with none
-        np.linalg.cholesky(np.eye(512) * 2.0)  # let BLAS start its threads here
-        ctx = multiprocessing.get_context("fork")
-        blas = evaluation._openblas_thread_controls()
-        with ProcessPoolExecutor(1, mp_context=ctx, initializer=evaluation._start_grid_worker,
-                                 initargs=([], [], blas)) as pool:
-            threads = pool.submit(_threads_in_worker).result()
+        # pool, whose idle threads spin; the worker must end up with none.
+        # An in-process CLI call leaves this process on one BLAS thread, so
+        # two are set here, and the counts it had are restored after
+        blas = qp.openblas_thread_controls()
+        counts = openblas_thread_counts()
+        for setter, _ in blas:
+            setter(2)
+        try:
+            np.linalg.cholesky(np.eye(512) * 2.0)  # let BLAS start its threads here
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(1, mp_context=ctx, initializer=evaluation._start_grid_worker,
+                                     initargs=([], [], blas)) as pool:
+                threads = pool.submit(_threads_in_worker).result()
+        finally:
+            for (setter, _), count in zip(blas, counts):
+                setter(count)
         assert threads == 1
 
 

@@ -602,6 +602,20 @@ class TestSerialization:
         doc = serialize(back)
         assert doc["normalization"] is not None
 
+    def test_stored_range_wider_than_the_float_range(self):
+        # the first column's hi - lo overflows; rows scaled by the model match
+        # rows scaled by hand, with no overflow warning
+        d = make_blobs(60, seed=17)
+        raw = d.features.copy()
+        raw[0, 0], raw[1, 0] = -1e308, 1e308
+        ranges = minmax_ranges(Dataset(raw, d.labels))
+        mdl = fit(plain_config(), normalize_minmax(Dataset(raw, d.labels)), normalization=ranges)
+        probe = np.vstack([raw[:5], [[5e307, 0.0]]])
+        scaled = normalize_minmax(Dataset(probe, np.ones(6)), ranges).features
+        assert scaled[:2, 0].tolist() == [0.0, 1.0]
+        plain = replace(mdl, normalization=None)
+        assert np.array_equal(predict(mdl, probe), predict(plain, scaled))
+
     @pytest.mark.parametrize("level", ["document", "layer", "normalization", "config",
                                        "diagnostics"])
     @pytest.mark.parametrize("value", ["x", [], 1])

@@ -1,8 +1,9 @@
+import multiprocessing
 import os
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from _oracles import (
     wrapper_solve_spd,
     wrapper_whiten,
 )
+from _system import set_cpus
 
 # frozen result of dense_grid_box_qp(Q=[[2,1],[1,2]], upper=10, step=1e-3),
 # computed once offline (the 1e8-point sweep takes a few seconds)
@@ -660,7 +662,7 @@ class TestMemoryGuard:
 
     def test_refused_before_allocation(self, monkeypatch):
         p = 300
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8 * p * p - 1)
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 8 * p * p - 1)
         V = np.random.default_rng(0).normal(size=(p, 5))
         tracemalloc.start()
         try:
@@ -673,12 +675,12 @@ class TestMemoryGuard:
 
     def test_q_that_fits_is_built(self, monkeypatch):
         p = 300
-        monkeypatch.setattr(qp, "_physical_memory_bytes", lambda: 8 * p * p)
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 8 * p * p)
         V = np.random.default_rng(0).normal(size=(p, 5))
         assert BoxQP(LowRank(V), 1.0).Q.tobytes() == serial_panel_outer_reference(V).tobytes()
 
     def test_physical_memory_is_read_or_unknown(self):
-        limit = qp._physical_memory_bytes()
+        limit = qp.physical_memory_bytes()
         assert limit is None or limit > 0
 
 
@@ -829,12 +831,6 @@ class TestFactoredDual:
         assert np.array_equal(predict(mdl, pair.test.features), predict(ref, pair.test.features))
 
 
-def set_cpus(monkeypatch, n):
-    """Make the process see ``n`` usable CPUs, through either query qp may make."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
 class TestThreadedPanels:
     """Panels of a Q of ``_THREADED_Q_BYTES`` or more run on a thread pool."""
 
@@ -983,14 +979,21 @@ class TestSystemQueries:
             raise error(name)
 
         monkeypatch.setattr(os, "sysconf", sysconf)
-        assert qp._physical_memory_bytes() is None
+        assert qp.physical_memory_bytes() is None
 
     def test_physical_memory_unknown_without_sysconf(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf")
-        assert qp._physical_memory_bytes() is None
+        assert qp.physical_memory_bytes() is None
 
     @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
     def test_usable_cpus_without_an_affinity_mask(self, monkeypatch, count, cpus):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert qp.usable_cpus() == cpus
+
+    def test_usable_cpus_is_one_in_a_forked_child(self, monkeypatch):
+        # the child inherits the faked four CPUs, and its siblings may hold them
+        set_cpus(monkeypatch, 4)
+        assert qp.usable_cpus() == 4
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(qp.usable_cpus).result() == 1
