@@ -71,12 +71,19 @@ def _parse_bool(raw: str) -> bool:
     raise argparse.ArgumentTypeError(f"cannot parse boolean value {raw!r}")
 
 
+def _nonempty(values: list, raw: str) -> list:
+    """``values`` of a comma-separated flag, which must name at least one."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {raw!r}")
+    return values
+
+
 def _parse_float_list(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",") if v.strip()]
+    return _nonempty([float(v) for v in raw.split(",") if v.strip()], raw)
 
 
 def _parse_int_list(raw: str) -> list[int]:
-    return [int(v) for v in raw.split(",") if v.strip()]
+    return _nonempty([int(v) for v in raw.split(",") if v.strip()], raw)
 
 
 def _variant_names(raw: str) -> list[str]:

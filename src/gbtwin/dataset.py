@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,13 @@ class SplitPair:
 
 
 def _read_rows(path, has_header: bool) -> tuple[list[list[str]], list[int]]:
-    """Stripped cells of every non-blank row and the row's 1-based line.
+    """Cells of every non-blank row, stripped of ASCII whitespace, and the
+    row's 1-based line.
 
-    Skips the first line when ``has_header``. Rejects a file with no data row
-    and a row whose width differs from the first data row's.
+    Other whitespace, such as a no-break space, stays in its cell, which is
+    then not numeric. Skips the first line when ``has_header``. Rejects a
+    file with no data row and a row whose width differs from the first data
+    row's.
     """
     rows, line_numbers = [], []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -109,9 +113,10 @@ def _read_rows(path, has_header: bool) -> tuple[list[list[str]], list[int]]:
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1 and has_header:
                 continue
-            if not row or all(cell.strip() == "" for cell in row):
+            cells = [cell.strip(string.whitespace) for cell in row]
+            if not any(cells):
                 continue
-            rows.append([cell.strip() for cell in row])
+            rows.append(cells)
             line_numbers.append(lineno)
     if not rows:
         raise DataError(f"empty file: {path}")
@@ -123,20 +128,27 @@ def _read_rows(path, has_header: bool) -> tuple[list[list[str]], list[int]]:
     return rows, line_numbers
 
 
+def _foreign(cell: str) -> bool:
+    """Whether a cell holds what ``float()`` reads but a CSV number may not:
+    ``_``, a digit separator, or any non-ASCII character, such as another
+    script's digits."""
+    return "_" in cell or not cell.isascii()
+
+
 def _numeric_rows(rows, line_numbers, cols, what: str) -> np.ndarray:
     """Cells ``cols`` of every row as floats, parsed a row at a time; a bad row is
     a DataError naming its first non-numeric cell, a ``what``, by line and column.
-    A cell holding ``_``, which ``float()`` reads as a digit separator, is one."""
+    A ``_foreign`` cell is one."""
     out = np.empty((len(rows), len(cols)))
     for i, row in enumerate(rows):
         try:
             out[i] = [float(row[j]) for j in cols]
-            if "_" in "".join(row) and any("_" in row[j] for j in cols):
+            if _foreign("".join(row)) and any(_foreign(row[j]) for j in cols):
                 raise ValueError
         except ValueError:
             for j in cols:
                 try:
-                    float(row[j].replace("_", "?"))
+                    float("?" if _foreign(row[j]) else row[j])
                 except ValueError:
                     raise DataError(f"non-numeric {what} at row {line_numbers[i]}, "
                                     f"column {j + 1}: {row[j]!r}") from None

@@ -7,14 +7,18 @@ or concatenated with their hidden image. Prediction assigns the class of the
 nearer hyperplane measured in the same feature space the model was fit in; a
 plane with an exactly zero normal is infinitely far from every row.
 
-``fit`` maps its training rows in full, since the ridge Gram matrix needs all
-of them. When there are fewer rows k than columns c (a granulated fit in a
-wide random space), it fits both planes on the rows' k coordinates in their
-row span (``qp.row_span``) and lifts the planes back to c columns: the same
-problems, on k x k instead of c x c ridge systems. ``predict`` maps and
-scores rows in blocks of ``_BLOCK_ROWS``, so it never holds the n x (h + m)
-mapped matrix and each block stays in cache; the blocked products may round
-distances differently in their last bits.
+``fit`` runs in two stages. ``fit_basis`` does everything that does not read
+the penalties d1 and d2: granulation, the random layer, the mapped rows, and
+each plane's ridge factor and dual factor V. ``fit_planes`` solves the two
+box-constrained duals at (d1, d2) and forms the planes, so one basis serves
+every box. The basis maps its training rows in full, since the ridge Gram
+matrix needs all of them. When there are fewer rows k than columns c (a
+granulated fit in a wide random space), both planes are fit on the rows' k
+coordinates in their row span (``qp.row_span``) and lifted back to c
+columns: the same problems, on k x k instead of c x c ridge systems.
+``predict`` maps and scores rows in blocks of ``_BLOCK_ROWS``, so it never
+holds the n x (h + m) mapped matrix and each block stays in cache; the
+blocked products may round distances differently in their last bits.
 
 A saved model document holds ``schema_version``, ``kind``, then one key per
 field of its model class. ``serialize`` and ``deserialize`` serve both model
@@ -24,6 +28,7 @@ kinds, and the reader checks every level of a document by one object rule.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -138,39 +143,24 @@ def ball_centers(train: Dataset, eta: float) -> Dataset:
     return centers
 
 
-def _plane(near, far, upper, delta, qp_tol, qp_max_iter):
-    """Plane through the ``near`` rows, kept from the ``far`` rows by one dual.
-
-    Rows carry a trailing column of ones. Factorizes the ridge Gram matrix
-    ``G = L L'`` of the near rows, solves the box-constrained dual over the
-    far rows, whose matrix ``far G^-1 far'`` is ``V V'`` with
-    ``V = far L^-T``, and returns ``(G^-1 far' alpha, dual solution)``; the
-    caller fixes the sign.
-    """
-    gram = qp.ridge_factorize(near, delta)
-    dual = qp.BoxQP(qp.LowRank(qp.whiten(gram, far)), upper)
-    sol = qp.solve_box_qp(dual, tol=qp_tol, max_iter=qp_max_iter)
-    return qp.solve_spd(gram, far.T @ sol.alpha), sol
+# What a fit computes before it reads d1 and d2 (``fit_basis``): the random
+# layer, the ball count (None for a raw fit), the row span (None when k >= c)
+# and, for plane 1 then plane 2, the ridge factor of its near rows, its far
+# rows and ``V = far L^-T``. It holds no p x p matrix.
+FitBasis = namedtuple("FitBasis", "layer balls span sides")
 
 
-def fit(
-    cfg: ModelConfig,
-    train: Dataset,
-    qp_tol: float = qp.DEFAULT_TOL,
-    qp_max_iter: int = qp.DEFAULT_MAX_SWEEPS,
-    normalization=None,
-) -> TwinModel:
-    """Fit the twin hyperplanes for ``cfg`` on ``train``.
+def fit_basis(cfg: ModelConfig, train: Dataset) -> FitBasis:
+    """Everything ``fit`` computes before the penalties d1 and d2.
 
-    Pipeline: optional granulation to ball centers, feature mapping, then one
-    box-constrained dual per plane. With the ones column appended the mapped
-    rows M are k x c. When k < c, ``M' = U R`` by QR, both planes are fit on
-    the k x k rows ``R'`` and lifted back by U; the ridge term is the same in
-    every orthonormal basis, so each dual is the same problem and the planes
-    agree with a fit on M up to rounding. When k >= c the planes are fit on M
-    itself. Solver non-convergence is recorded in the diagnostics rather
-    than raised. Every plane is kept, since how small a vanishing normal reads
-    depends on where the dual stopped; ``predict`` rules on a zero normal.
+    Checks that ``train`` holds both classes, granulates it to ball centers
+    when ``cfg.granulate``, draws the random layer and maps the rows, with a
+    ones column appended: M, k x c. When k < c, ``M' = U R`` by QR and the
+    rows used are the k x k ``R'`` (``qp.row_span``); the ridge term is the
+    same in every orthonormal basis, so each dual is the same problem. Plane
+    1 passes near the positive rows and keeps from the negative ones, plane
+    2 the other way round; each side's ridge factor ``G = L L'`` of its near
+    rows and ``V = far L^-T`` give its dual's matrix ``far G^-1 far' = V V'``.
     """
     if not train.has_both_classes:
         raise DataError("single class in training data; both classes are required")
@@ -192,31 +182,66 @@ def fit(
     pos = mapped[labels > 0]
     neg = mapped[labels < 0]
 
-    u1, sol1 = _plane(pos, neg, cfg.d1, cfg.delta, qp_tol, qp_max_iter)
-    u1 = -u1
-    u2, sol2 = _plane(neg, pos, cfg.d2, cfg.delta, qp_tol, qp_max_iter)
-    if span is not None:
-        u1, u2 = qp.lift(span, np.column_stack([u1, u2])).T
+    sides = []
+    for near, far in ((pos, neg), (neg, pos)):
+        gram = qp.ridge_factorize(near, cfg.delta)
+        sides.append((gram, far, qp.whiten(gram, far)))
+    return FitBasis(layer, balls, span, tuple(sides))
 
-    notes = []
-    if not sol1.converged:
-        notes.append(f"dual 1 stopped at residual {sol1.kkt_residual:.3e}")
-    if not sol2.converged:
-        notes.append(f"dual 2 stopped at residual {sol2.kkt_residual:.3e}")
+
+def fit_planes(basis: FitBasis, d1: float, d2: float, qp_tol: float, qp_max_iter: int):
+    """The two planes and ``FitDiagnostics`` of ``basis`` with box bounds d1 and d2.
+
+    Solves one box-constrained dual per side, over ``BoxQP(LowRank(V), d)``,
+    each Q built and dropped in turn, so no more than one p x p matrix is
+    held. A side's plane is ``G^-1 far' alpha``, lifted back through the row
+    span when there is one; plane 1's is negated. Returns ``(u1, u2,
+    diagnostics)``. One basis serves every ``(d1, d2)``: each result has the
+    bits of ``fit`` with those penalties.
+    """
+    planes, sols = [], []
+    for (gram, far, V), upper in zip(basis.sides, (d1, d2)):
+        sol = qp.solve_box_qp(qp.BoxQP(qp.LowRank(V), upper), tol=qp_tol, max_iter=qp_max_iter)
+        planes.append(qp.solve_spd(gram, far.T @ sol.alpha))
+        sols.append(sol)
+    if basis.span is not None:
+        planes = qp.lift(basis.span, np.column_stack(planes)).T
     diag = FitDiagnostics(
-        k1=pos.shape[0],
-        k2=neg.shape[0],
-        balls=balls,
-        dual_iterations=(sol1.iterations, sol2.iterations),
-        dual_residuals=(sol1.kkt_residual, sol2.kkt_residual),
-        converged=sol1.converged and sol2.converged,
-        notes=notes,
+        # each dual runs over the other class's rows
+        k1=sols[1].alpha.size,
+        k2=sols[0].alpha.size,
+        balls=basis.balls,
+        dual_iterations=tuple(sol.iterations for sol in sols),
+        dual_residuals=tuple(sol.kkt_residual for sol in sols),
+        converged=all(sol.converged for sol in sols),
+        notes=[f"dual {i} stopped at residual {sol.kkt_residual:.3e}"
+               for i, sol in enumerate(sols, 1) if not sol.converged],
     )
+    # plane 1 is -G^-1 far' alpha; negating is exact, so it may follow the lift
+    return -planes[0], planes[1], diag
+
+
+def fit(
+    cfg: ModelConfig,
+    train: Dataset,
+    qp_tol: float = qp.DEFAULT_TOL,
+    qp_max_iter: int = qp.DEFAULT_MAX_SWEEPS,
+    normalization=None,
+) -> TwinModel:
+    """Fit the twin hyperplanes for ``cfg`` on ``train``: ``fit_basis`` then
+    ``fit_planes`` at ``cfg.d1`` and ``cfg.d2``.
+
+    Solver non-convergence is recorded in the diagnostics rather than
+    raised. Every plane is kept, since how small a vanishing normal reads
+    depends on where the dual stopped; ``predict`` rules on a zero normal.
+    """
+    basis = fit_basis(cfg, train)
+    u1, u2, diag = fit_planes(basis, cfg.d1, cfg.d2, qp_tol, qp_max_iter)
     return TwinModel(
         u1=u1,
         u2=u2,
         m=train.m,
-        layer=layer,
+        layer=basis.layer,
         config=cfg,
         diagnostics=diag,
         normalization=_normalization_arrays(normalization),

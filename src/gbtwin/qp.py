@@ -488,7 +488,7 @@ def solve_box_qp(
     until the objective does not fall (or dropped), and stops if the
     resulting point is certified; otherwise the sweep follows. So
     ``max_iter=1`` is one plain sweep on every dual, and an
-    explicit Q or p > c gets the sweeps alone, as it always did. Terminates when the KKT
+    explicit Q or p > c gets the sweeps alone. Terminates when the KKT
     residual of a fresh gradient drops to ``tol`` or after ``max_iter``
     iterations; non-convergence is reported through the result, not raised.
     """

@@ -496,24 +496,29 @@ def twin_planes_reference(X, y, d1, d2, delta):
     return u1, u2
 
 
-def explicit_q_plane_reference(near, far, upper, delta, qp_tol, qp_max_iter):
-    """``model._plane`` as it was before the dual was built from the ridge factor.
+def explicit_q_planes_reference(basis, d1, d2, qp_tol, qp_max_iter):
+    """``model.fit_planes``' planes with each dual's matrix formed explicitly.
 
-    Forms ``Q = far G^-1 far'`` with one product and hands the explicit
-    matrix to ``BoxQP``, which checks and symmetrizes it in place.
+    Forms ``Q = far G^-1 far'`` of each side of ``basis`` with one product
+    and hands the explicit matrix to ``BoxQP``, which checks and symmetrizes
+    it in place, rather than building ``V V'`` from the basis's V.
     """
-    gram = qp.ridge_factorize(near, delta)
-    q = far @ qp.solve_spd(gram, far.T)
-    sol = qp.solve_box_qp(qp.BoxQP(q, upper), tol=qp_tol, max_iter=qp_max_iter)
-    return qp.solve_spd(gram, far.T @ sol.alpha), sol
+    planes = []
+    for (gram, far, _), upper in zip(basis.sides, (d1, d2)):
+        q = far @ qp.solve_spd(gram, far.T)
+        sol = qp.solve_box_qp(qp.BoxQP(q, upper), tol=qp_tol, max_iter=qp_max_iter)
+        planes.append(qp.solve_spd(gram, far.T @ sol.alpha))
+    if basis.span is not None:
+        planes = qp.lift(basis.span, np.column_stack(planes)).T
+    return -planes[0], planes[1]
 
 
 def full_width_planes(cfg, train, qp_tol, qp_max_iter=qp.DEFAULT_MAX_SWEEPS):
     """``model.fit``'s two planes fit on the c mapped columns themselves.
 
-    The construction every fit used before fits with fewer rows than columns
-    moved to their row span: the raw rows mapped, a ones column appended and
-    ``model._plane`` run on the full-width class blocks. No granulation:
+    The raw rows mapped and a ones column appended; each plane's ridge factor
+    of its near class block and its dual over the far block are formed at
+    full width, even with fewer rows than columns. No granulation:
     ``train``'s rows stand for the ball centres.
     """
     layer = None
@@ -522,9 +527,13 @@ def full_width_planes(cfg, train, qp_tol, qp_max_iter=qp.DEFAULT_MAX_SWEEPS):
     mapped = md._map_rows(cfg.feature_space, layer, train.features)
     mapped = np.hstack([mapped, np.ones((mapped.shape[0], 1))])
     pos, neg = mapped[train.labels > 0], mapped[train.labels < 0]
-    u1, _ = md._plane(pos, neg, cfg.d1, cfg.delta, qp_tol, qp_max_iter)
-    u2, _ = md._plane(neg, pos, cfg.d2, cfg.delta, qp_tol, qp_max_iter)
-    return -u1, u2
+    planes = []
+    for near, far, upper in ((pos, neg, cfg.d1), (neg, pos, cfg.d2)):
+        gram = qp.ridge_factorize(near, cfg.delta)
+        sol = qp.solve_box_qp(qp.BoxQP(qp.LowRank(qp.whiten(gram, far)), upper),
+                              tol=qp_tol, max_iter=qp_max_iter)
+        planes.append(qp.solve_spd(gram, far.T @ sol.alpha))
+    return -planes[0], planes[1]
 
 
 def average_ranks_reference(scores):

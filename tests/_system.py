@@ -1,7 +1,8 @@
-"""What tests fake or read of the machine: the CPU count and OpenBLAS's threads."""
+"""What tests fake, read or restore of the machine: the CPU count and OpenBLAS's threads."""
 
 import ctypes
 import os
+from contextlib import contextmanager
 
 # OpenBLAS's thread-count getters, under the names qp's setters are looked up by
 _OPENBLAS_GETTERS = (
@@ -35,3 +36,30 @@ def openblas_thread_counts() -> list[int]:
         getter.argtypes, getter.restype = [], ctypes.c_int
         counts.append(getter())
     return counts
+
+
+def set_openblas_threads(counts) -> None:
+    """Set every loaded OpenBLAS to its count in ``counts``, which lists them
+    in the order ``openblas_thread_counts`` reads them."""
+    from gbtwin import qp  # not at import: a child process reads counts before importing gbtwin
+
+    controls = qp.openblas_thread_controls()
+    if controls is None:  # cli.main cannot set them either
+        return
+    for (setter, _), count in zip(controls, counts, strict=True):
+        setter(count)
+
+
+@contextmanager
+def openblas_threads_kept():
+    """Restore every OpenBLAS's thread count on exit.
+
+    ``cli.main`` sets each to one thread and never restores them, so a test
+    that calls it in-process would leave the rest of the run on one thread.
+    Yields the counts read on entry.
+    """
+    counts = openblas_thread_counts()
+    try:
+        yield counts
+    finally:
+        set_openblas_threads(counts)

@@ -16,11 +16,17 @@ from gbtwin.dataset import generate_ndc, write_csv
 from gbtwin.evaluation import nemenyi_cd, read_report
 from gbtwin.model import _BLOCK_ROWS, ModelConfig, load_model, predict
 
-from _system import set_cpus
+from _system import (
+    openblas_thread_counts,
+    openblas_threads_kept,
+    set_cpus,
+    set_openblas_threads,
+)
 
 
 def run(*argv):
-    return main([str(a) for a in argv])
+    with openblas_threads_kept():
+        return main([str(a) for a in argv])
 
 
 @pytest.fixture
@@ -69,6 +75,17 @@ class TestStartup:
         assert before == [min(2, qp.usable_cpus())] * 2
         assert imported == before
         assert pinned == [1, 1]
+
+
+    def test_in_process_calls_keep_the_blas_thread_counts(self, tmp_path, blob_csv):
+        # run() restores what main pins, so no test's BLAS threads depend on
+        # whether an in-process CLI call ran before it; two threads are set
+        # first, so the check holds on a one-CPU run too
+        with openblas_threads_kept() as counts:
+            set_openblas_threads([2] * len(counts))
+            assert run("train", "--variant", "tsvm", "--data", blob_csv, "--seed", 1,
+                       "--out", tmp_path / "m.json") == 0
+            assert openblas_thread_counts() == [2] * len(counts)
 
 
 class TestTrainPredict:
@@ -343,6 +360,20 @@ class TestUsageErrors:
                    "--seed", 1, "--out", tmp_path / "m.json") == 2
 
 
+    @pytest.mark.parametrize("command,flag", [
+        ("gridsearch", "--grid-d"), ("gridsearch", "--grid-h"), ("gridsearch", "--grid-act"),
+        ("scale-bench", "--sizes"),
+    ])
+    @pytest.mark.parametrize("value", [",", " , "])
+    def test_empty_list_flag(self, tmp_path, blob_csv, capsys, command, flag, value):
+        out = tmp_path / "out.json"
+        data = ("--data", blob_csv) if command == "gridsearch" else ()
+        assert run(command, *data, "--seed", 1, flag, value, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"usage error: argument {flag}: needs at least one value, got {value!r}"]
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_file_supplies_values_flags_override(self, tmp_path, blob_csv):
         cfg = tmp_path / "run.cfg"
@@ -425,7 +456,7 @@ class TestOptionTables:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_help_exits_zero(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc, openblas_threads_kept():
             main([command, "--help"])
         assert exc.value.code == 0
         assert f"usage: gbtwin {command}" in capsys.readouterr().out
@@ -513,6 +544,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("numerical failure: ridge factorization failed")
+        assert not model.exists()
+
+    def test_non_ascii_digits_are_a_data_error(self, tmp_path, capsys):
+        # float() reads Arabic-Indic digits as 12; a CSV number is ASCII only
+        data = tmp_path / "digits.csv"
+        data.write_text("0.2,0.2,1\n\u0661\u0662,0.1,-1\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        assert run("train", "--variant", "tsvm", "--data", data, "--seed", 1,
+                   "--out", model) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: non-numeric feature at row 2, column 1: '\u0661\u0662'"]
         assert not model.exists()
 
     def test_dual_larger_than_memory_is_numerical_failure(

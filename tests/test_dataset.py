@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,25 @@ class TestLoadCsv:
     def test_digit_separator_is_non_numeric(self, tmp_path, read, what):
         with pytest.raises(DataError, match=f"non-numeric {what} at row 2, column 1: '1_0'$"):
             read(write(tmp_path, "1,4,1\n1_0,4,-1\n"))
+
+    # float() reads other scripts' digits (Arabic-Indic, fullwidth,
+    # Devanagari), and str.strip() drops a no-break or em space
+    @pytest.mark.parametrize("cell", ["\u0661\u0662", "\uff11\uff12", "\u0967\u0968", "1\u0662",
+                                      "1\u00a0", "\u20031"])
+    @pytest.mark.parametrize("read, what", [(load_csv, "feature"), (load_features_csv, "cell")])
+    def test_non_ascii_cell_is_non_numeric(self, tmp_path, read, what, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1,4,1\n{cell},4,-1\n", encoding="utf-8")
+        message = re.escape(f"non-numeric {what} at row 2, column 1: {cell!r}") + "$"
+        with pytest.raises(DataError, match=message):
+            read(path)
+
+    def test_label_token_may_be_non_ascii(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2,\u00e9t\u00e9\n3,4,hiver\n", encoding="utf-8")
+        d = load_csv(path, positive_label_token="\u00e9t\u00e9")
+        assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert d.labels.tolist() == [1.0, -1.0]
 
     def test_label_token_may_hold_an_underscore(self, tmp_path):
         d = load_csv(write(tmp_path, "1,2,is_a\n3,4,not_a\n"), positive_label_token="is_a")

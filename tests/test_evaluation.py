@@ -44,7 +44,7 @@ from _reference_tables import (
     REPORTED_RANK_ROWS,
 )
 from _synth import make_blobs
-from _system import openblas_thread_counts, set_cpus
+from _system import openblas_threads_kept, set_cpus, set_openblas_threads
 
 
 class TestMetrics:
@@ -527,21 +527,15 @@ class TestGridSearchPool:
     def test_worker_runs_no_blas_thread(self):
         # after a fork, setting OpenBLAS's thread count restarts its thread
         # pool, whose idle threads spin; the worker must end up with none.
-        # An in-process CLI call leaves this process on one BLAS thread, so
-        # two are set here, and the counts it had are restored after
-        blas = qp.openblas_thread_controls()
-        counts = openblas_thread_counts()
-        for setter, _ in blas:
-            setter(2)
-        try:
+        # Two threads are set here, so the check holds on a one-CPU run too,
+        # and the counts this process had are restored after
+        with openblas_threads_kept() as counts:
+            set_openblas_threads([2] * len(counts))
             np.linalg.cholesky(np.eye(512) * 2.0)  # let BLAS start its threads here
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(1, mp_context=ctx, initializer=evaluation._start_grid_worker,
-                                     initargs=([], [], blas)) as pool:
+                                     initargs=([], [], qp.openblas_thread_controls())) as pool:
                 threads = pool.submit(_threads_in_worker).result()
-        finally:
-            for (setter, _), count in zip(blas, counts):
-                setter(count)
         assert threads == 1
 
 

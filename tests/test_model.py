@@ -11,6 +11,7 @@ from gbtwin.dataset import (
     DataError,
     Dataset,
     generate_ndc,
+    inject_label_noise,
     load_features_csv,
     minmax_ranges,
     normalize_minmax,
@@ -31,6 +32,8 @@ from gbtwin.model import (
     decision_values,
     deserialize,
     fit,
+    fit_basis,
+    fit_planes,
     fit_rvfl_baseline,
     load_model,
     predict,
@@ -40,6 +43,7 @@ from gbtwin.model import (
 
 from _oracles import full_width_planes, plane_distances_reference, twin_planes_reference
 from _synth import make_blobs, make_crossplane
+from _system import openblas_threads_kept
 
 
 FOUR_POINTS = Dataset(
@@ -287,7 +291,7 @@ class TestZeroNormal:
     def test_cli_predict_with_two_zero_normals_exits_2(self, tmp_path, fitted, capsys):
         save_model(zero_normals(fitted, "u1", "u2"), tmp_path / "model.json")
         np.savetxt(tmp_path / "rows.csv", make_blobs(40, seed=13).features, delimiter=",")
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), openblas_threads_kept():
             warnings.simplefilter("error")
             code = cli_main(["predict", "--model", str(tmp_path / "model.json"),
                              "--data", str(tmp_path / "rows.csv"),
@@ -772,9 +776,8 @@ class TestLegacyDocuments:
 class TestRowSpanFit:
     """A fit with fewer rows k than mapped columns c runs in the rows' span.
 
-    ``full_width_planes`` is the construction every fit used before: the
-    same ``_plane`` on the c-column rows. Rows are fit raw, standing for
-    ball centres.
+    ``full_width_planes`` fits the same two planes on the c-column rows.
+    Rows are fit raw, standing for ball centres.
     """
 
     C = 13
@@ -827,3 +830,29 @@ class TestRowSpanFit:
         assert shapes == []
         r1, r2 = full_width_planes(cfg, train, qp_tol=1e-12)
         assert mdl.u1.tobytes() == r1.tobytes() and mdl.u2.tobytes() == r2.tobytes()
+
+
+class TestFitStages:
+    """One ``fit_basis`` serves every box: ``fit_planes`` at each (d1, d2)
+    gives the bits of ``fit`` with those penalties, planes and diagnostics."""
+
+    # (d1, d2), solved in this order on one basis; at (0.01, 100) some duals
+    # stop unconverged, so the diagnostics' notes are compared too
+    BOXES = [(1.0, 1.0), (0.01, 100.0), (100.0, 0.01), (0.5, 2.0), (1.0, 1.0)]
+    # (n, m, h, row span): 30 rows (or 4 balls) against 41-91 columns, and
+    # 400 rows (or 71 balls) against 5-13 columns
+    DATA = [(30, 40, 50, True), (400, 4, 8, False)]
+
+    @pytest.mark.parametrize("space", ["original", "hidden", "enhanced"])
+    @pytest.mark.parametrize("granulate", [False, True])
+    @pytest.mark.parametrize("n,m,h,spanned", DATA)
+    def test_one_basis_gives_the_bits_of_each_fit(self, space, granulate, n, m, h, spanned):
+        data = inject_label_noise(generate_ndc(n, m, 2, 1.0, seed=7), 0.1, seed=7)
+        cfg = ModelConfig(granulate=granulate, feature_space=space, seed=7, h=h, activation=3)
+        basis = fit_basis(cfg, data)
+        assert (basis.span is not None) == spanned
+        for d1, d2 in self.BOXES:
+            u1, u2, diag = fit_planes(basis, d1, d2, 1e-10, qp.DEFAULT_MAX_SWEEPS)
+            mdl = fit(replace(cfg, d1=d1, d2=d2), data, qp_tol=1e-10)
+            assert u1.tobytes() == mdl.u1.tobytes() and u2.tobytes() == mdl.u2.tobytes()
+            assert repr(diag) == repr(mdl.diagnostics)

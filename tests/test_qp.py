@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from _oracles import (
     cyclic_box_qp_reference,
     dense_grid_box_qp,
     enumerate_box_qp,
-    explicit_q_plane_reference,
+    explicit_q_planes_reference,
     grid_box_qp,
     serial_panel_outer_reference,
     two_mask_sweeps_reference,
@@ -803,10 +804,27 @@ class TestFactoredDual:
         np.testing.assert_allclose(V @ V.T, far @ solve_spd(g, far.T), rtol=1e-12, atol=1e-12)
 
     def test_fit_with_huge_far_class_raises_without_warning(self):
+        # the basis forms the far class's own ridge factor, for plane 2,
+        # before plane 1's dual, and that Gram matrix overflows first
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 8))
         y = np.repeat([1.0, -1.0], 20)
         X[y < 0] *= 1e200
+        cfg = ModelConfig(granulate=False, feature_space="original", seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="the Gram matrix of a finite matrix overflows"):
+                fit(cfg, Dataset(X, y))
+
+    def test_fit_with_huge_dual_factor_raises_without_warning(self):
+        # a near class in two columns (and the ones column) has a ridge
+        # factor with pivots near sqrt(delta): the far class's Gram matrix
+        # stays finite, and its V, and so Q, passes the float range
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 8))
+        y = np.repeat([1.0, -1.0], 20)
+        X[y > 0, 2:] = 0.0
+        X[y < 0] *= 1e152
         cfg = ModelConfig(granulate=False, feature_space="original", seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -818,15 +836,16 @@ class TestFactoredDual:
         (True, "original"),
         (False, "enhanced"),
     ])
-    def test_fit_matches_the_explicit_q_reference(self, monkeypatch, granulate, space):
+    def test_fit_matches_the_explicit_q_reference(self, granulate, space):
         # Q = V V' differs from far G^-1 far' in its last bits, so planes may
         # differ within criterion 3's 1e-6; labels may not
         data = inject_label_noise(generate_ndc(600, 5, 2, 2.0, seed=4), 0.05, seed=4)
         pair = split_train_test(data, 0.7, seed=4)
         cfg = ModelConfig(granulate=granulate, feature_space=space, seed=4, h=20, activation=3)
         mdl = fit(cfg, pair.train)
-        monkeypatch.setattr(md, "_plane", explicit_q_plane_reference)
-        ref = fit(cfg, pair.train)
+        basis = md.fit_basis(cfg, pair.train)
+        u1, u2 = explicit_q_planes_reference(basis, cfg.d1, cfg.d2, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+        ref = replace(mdl, u1=u1, u2=u2)
         assert max(np.abs(mdl.u1 - ref.u1).max(), np.abs(mdl.u2 - ref.u2).max()) <= 1e-6
         assert np.array_equal(predict(mdl, pair.test.features), predict(ref, pair.test.features))
 
