@@ -355,16 +355,8 @@ def cmd_gridsearch(opts: dict) -> int:
     train, test = _normalized_split(data, opts, opts["seed"])
 
     template = _twin_config(opts, variant, opts["seed"])
-    grid = {
-        "d": opts["grid-d"] or ev.D_GRID,
-        "h": opts["grid-h"] or ev.H_GRID,
-        "activation": opts["grid-act"] or ev.ACTIVATION_GRID,
-    }
-    if template.feature_space == "original":
-        # hidden layer is unused; collapse those grid axes unless overridden
-        grid["h"] = opts["grid-h"] or [template.h]
-        grid["activation"] = opts["grid-act"] or [template.activation]
-
+    # an axis not given takes grid_search_cv's default for the template's space
+    grid = {"d": opts["grid-d"], "h": opts["grid-h"], "activation": opts["grid-act"]}
     best_cfg, table = ev.grid_search_cv(
         train, template, folds=opts["folds"], grid=grid, seed=opts["seed"]
     )

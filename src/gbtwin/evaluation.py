@@ -129,14 +129,20 @@ def nemenyi_cd(q: int, P: int, q_alpha: float) -> float:
 
 
 def grid_combinations(grid: dict | None = None) -> list[tuple[float, int, int]]:
-    """Enumerate (d, h, activation) combinations in deterministic order."""
+    """Enumerate (d, h, activation) combinations in deterministic order.
+
+    Every axis must hold at least one value and, once converted to a float
+    d or an int h and activation, repeat none: a repeated value would fit
+    every fold twice and give two identical records.
+    """
     g = DEFAULT_GRID if grid is None else grid
-    ds, hs, acts = g["d"], g["h"], g["activation"]
-    if not ds or not hs or not acts:
-        raise ValueError("grid must be non-empty in every dimension")
-    return [
-        (float(d), int(h), int(a)) for d, h, a in itertools.product(ds, hs, acts)
+    combos = [
+        (float(d), int(h), int(a))
+        for d, h, a in itertools.product(g["d"], g["h"], g["activation"])
     ]
+    if not combos or len(set(combos)) < len(combos):
+        raise ValueError("grid must be non-empty in every dimension and repeat no value")
+    return combos
 
 
 # (cfgs, fold sets) of the grid search a worker process scores for; set by
@@ -176,8 +182,8 @@ def _grid_workers(fold_sets, jobs: int) -> int:
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    p = max((max(np.count_nonzero(t.labels > 0), np.count_nonzero(t.labels < 0))
-             for t, _ in fold_sets), default=0)
+    p = max(max(np.count_nonzero(t.labels > 0), np.count_nonzero(t.labels < 0))
+            for t, _ in fold_sets)
     workers = min(qp.usable_cpus(), jobs)
     limit = qp.physical_memory_bytes()
     if limit is not None:
@@ -194,12 +200,19 @@ def grid_search_cv(
 ):
     """Picking d1 = d2 = d, h, activation by mean k-fold CV accuracy.
 
+    An axis of ``grid`` (or ``grid`` itself) that is missing or None takes a
+    default: d takes ``D_GRID``; h and activation take ``H_GRID`` and
+    ``ACTIVATION_GRID`` in the hidden and enhanced spaces, and the
+    template's own values in the original space, which has no hidden layer.
+    An axis given is searched as given, in every space.
+
     Every combination gets an independent derived seed, so results do not
     depend on evaluation order. Granulation is deterministic and takes no
     seed, so with ``template.granulate`` each fold's CV-training part is
     granulated once and every combination is fit on its ball centres. Folds
     whose CV-training part is single-class are skipped and counted in every
-    combination's record. Ties in mean accuracy break toward smaller d, then
+    combination's record; when every fold is, a ``DataError`` is raised
+    before any fit. Ties in mean accuracy break toward smaller d, then
     smaller h, then lower activation index. Returns (best config, table of
     per-combination records).
 
@@ -221,6 +234,10 @@ def grid_search_cv(
         raise ValueError("folds must be >= 2")
     if train.n < folds:
         raise DataError(f"{folds} folds need at least {folds} training rows, got {train.n}")
+    # the original space has no hidden layer, so its h and activation are the template's
+    defaults = DEFAULT_GRID if template.feature_space != "original" else dict(
+        DEFAULT_GRID, h=[template.h], activation=[template.activation])
+    grid = {**defaults, **{axis: v for axis, v in (grid or {}).items() if v is not None}}
     cfgs = [
         replace(
             template,
@@ -245,6 +262,8 @@ def grid_search_cv(
         if template.granulate:
             cv_train = ball_centers(cv_train, template.eta)
         fold_sets.append((cv_train, train.take(fold)))
+    if not fold_sets:
+        raise DataError("every grid combination was skipped; dataset too degenerate")
     jobs = list(itertools.product(range(len(fold_sets)), range(len(cfgs))))
     workers = _grid_workers(fold_sets, len(jobs))
     blas = qp.openblas_thread_controls() if workers >= 2 else None
@@ -263,18 +282,15 @@ def grid_search_cv(
             "d": cfg.d1,
             "h": cfg.h,
             "activation": cfg.activation,
-            "mean_acc": float(np.mean(fold_accs)) if fold_accs else float("nan"),
+            "mean_acc": float(np.mean(fold_accs)),
             "fold_accs": fold_accs,
             "skipped_folds": skipped,
             "seed": cfg.seed,
         }
         for cfg, fold_accs in zip(cfgs, accs)
     ]
-    scored = [i for i, r in enumerate(table) if not np.isnan(r["mean_acc"])]
-    if not scored:
-        raise DataError("every grid combination was skipped; dataset too degenerate")
-    best = min(scored, key=lambda i: (-table[i]["mean_acc"], table[i]["d"], table[i]["h"],
-                                      table[i]["activation"]))
+    best = min(range(len(table)), key=lambda i: (-table[i]["mean_acc"], table[i]["d"],
+                                                 table[i]["h"], table[i]["activation"]))
     return replace(cfgs[best], granulate=template.granulate), table
 
 
@@ -295,11 +311,13 @@ def benchmark_fit(
     held-out part. ``k`` is the row count the dual solvers saw, as the fit
     reports it: granular balls when granulating, otherwise training samples.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rows = []
     for d in datasets:
         pair = split_train_test(d, 0.7, cfg.seed)
         times = []
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             start = time.perf_counter()
             mdl = fit(cfg, pair.train)
             times.append(time.perf_counter() - start)

@@ -373,6 +373,26 @@ class TestUsageErrors:
         assert err == [f"usage error: argument {flag}: needs at least one value, got {value!r}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-d", "1,1"), ("--grid-d", "1,1.0"), ("--grid-h", "3,23,3"), ("--grid-act", "2,2"),
+    ])
+    def test_repeated_grid_value(self, tmp_path, blob_csv, capsys, flag, value):
+        out, csv_out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        assert run("gridsearch", "--variant", "tsvm", "--data", blob_csv, "--seed", 1,
+                   flag, value, "--out", out, "--csv", csv_out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: grid must be non-empty in every dimension and repeat no value"]
+        assert not out.exists() and not csv_out.exists()
+
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_repeats_below_one(self, tmp_path, capsys, repeats):
+        out, csv_out = tmp_path / "bench.json", tmp_path / "bench.csv"
+        assert run("scale-bench", "--sizes", 200, "--m", 2, "--seed", 8, "--variant", "tsvm",
+                   "--repeats", repeats, "--out", out, "--csv", csv_out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: repeats must be >= 1, got {repeats}"]
+        assert not out.exists() and not csv_out.exists()
+
 
 class TestConfigFile:
     def test_file_supplies_values_flags_override(self, tmp_path, blob_csv):

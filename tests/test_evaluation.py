@@ -1,6 +1,7 @@
 import ctypes
 import faulthandler
 import io
+import itertools
 import math
 import multiprocessing
 import multiprocessing.process
@@ -291,6 +292,50 @@ class TestGridSearch:
             grid_search_cv(d, template, folds=3,
                            grid={"d": [], "h": [3], "activation": [1]}, seed=0)
 
+    @pytest.mark.parametrize("grid", [
+        {"d": [1.0, 1.0], "h": [3], "activation": [1]},
+        {"d": [1, 1.0], "h": [3], "activation": [1]},
+        {"d": [1.0], "h": [3, 23, 3.0], "activation": [1]},
+        {"d": [1.0], "h": [3], "activation": [2, 5, 2]},
+    ])
+    def test_repeated_grid_value_is_rejected(self, grid):
+        # a repeated value would fit every fold twice and give identical records
+        with pytest.raises(ValueError, match="repeat no value"):
+            grid_combinations(grid)
+        template = ModelConfig(granulate=False, feature_space="original", seed=0)
+        with pytest.raises(ValueError, match="repeat no value"):
+            grid_search_cv(make_blobs(40, seed=4), template, folds=3, grid=grid, seed=0)
+
+    def test_no_grid_on_the_original_space_searches_d_only(self):
+        # the original space has no hidden layer: h and activation are the template's
+        d = make_blobs(40, seed=1)
+        template = ModelConfig(granulate=False, feature_space="original", seed=0,
+                               h=23, activation=4)
+        best, table = grid_search_cv(d, template, folds=3, seed=5)
+        explicit = {"d": D_GRID, "h": [23], "activation": [4]}
+        assert (best, table) == grid_search_cv(d, template, folds=3, grid=explicit, seed=5)
+        assert len(table) == len(D_GRID)
+
+    @pytest.mark.parametrize("space", ["original", "hidden"])
+    @pytest.mark.parametrize("missing", [{}, {"h": None, "activation": None}])
+    def test_missing_axes_take_the_defaults_of_the_space(self, space, missing):
+        d = make_blobs(40, seed=1)
+        template = ModelConfig(granulate=False, feature_space=space, seed=0,
+                               h=23, activation=4)
+        _, table = grid_search_cv(d, template, folds=3, grid={"d": [1.0], **missing}, seed=5)
+        pairs = [(r["h"], r["activation"]) for r in table]
+        if space == "original":
+            assert pairs == [(23, 4)]
+        else:
+            assert pairs == list(itertools.product(H_GRID, ACTIVATION_GRID))
+
+    def test_given_axes_are_searched_in_the_original_space(self):
+        d = make_blobs(40, seed=1)
+        template = ModelConfig(granulate=False, feature_space="original", seed=0)
+        _, table = grid_search_cv(d, template, folds=3,
+                                  grid={"d": [1.0], "h": [3, 23], "activation": None}, seed=5)
+        assert [(r["h"], r["activation"]) for r in table] == [(3, 3), (23, 3)]
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: rank_models([[0.9], [0.8]]), "2 model columns"),
@@ -549,6 +594,12 @@ class TestBenchmarkFit:
             assert row["k"] >= 2
             assert row["fit_seconds"] >= 0.0
             assert 0.0 <= row["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_repeats_below_one_is_rejected(self, repeats):
+        cfg = ModelConfig(granulate=False, feature_space="original", seed=1)
+        with pytest.raises(ValueError, match=f"^repeats must be >= 1, got {repeats}$"):
+            benchmark_fit(cfg, [make_blobs(100, seed=1)], repeats=repeats)
 
 
 class TestReportIO:
