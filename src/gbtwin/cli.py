@@ -131,8 +131,8 @@ OPTIONS = {
     "separability": (float, 4.0, "cluster separability knob"),
     "sizes": (_parse_int_list, [1000, 5000, 20000], "comma-separated sample counts"),
     "grid-d": (_parse_float_list, None, "override penalty grid"),
-    "grid-h": (_parse_int_list, None, "override hidden-node grid"),
-    "grid-act": (_parse_int_list, None, "override activation grid"),
+    "grid-h": (_parse_int_list, None, "override hidden-node grid; tsvm, gbtsvm only check it"),
+    "grid-act": (_parse_int_list, None, "override activation grid; tsvm, gbtsvm only check it"),
     "repeats": (int, 3, "timing repetitions per point"),
     "config": (str, None, "key = value config file; flags override it"),
 }
@@ -355,7 +355,7 @@ def cmd_gridsearch(opts: dict) -> int:
     train, test = _normalized_split(data, opts, opts["seed"])
 
     template = _twin_config(opts, variant, opts["seed"])
-    # an axis not given takes grid_search_cv's default for the template's space
+    # an axis not given takes grid_search_cv's default
     grid = {"d": opts["grid-d"], "h": opts["grid-h"], "activation": opts["grid-act"]}
     best_cfg, table = ev.grid_search_cv(
         train, template, folds=opts["folds"], grid=grid, seed=opts["seed"]

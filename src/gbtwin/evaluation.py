@@ -128,17 +128,16 @@ def nemenyi_cd(q: int, P: int, q_alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def grid_combinations(grid: dict | None = None) -> list[tuple[float, int, int]]:
+def grid_combinations(grid: dict) -> list[tuple[float, int, int]]:
     """Enumerate (d, h, activation) combinations in deterministic order.
 
     Every axis must hold at least one value and, once converted to a float
     d or an int h and activation, repeat none: a repeated value would fit
     every fold twice and give two identical records.
     """
-    g = DEFAULT_GRID if grid is None else grid
     combos = [
         (float(d), int(h), int(a))
-        for d, h, a in itertools.product(g["d"], g["h"], g["activation"])
+        for d, h, a in itertools.product(grid["d"], grid["h"], grid["activation"])
     ]
     if not combos or len(set(combos)) < len(combos):
         raise ValueError("grid must be non-empty in every dimension and repeat no value")
@@ -200,11 +199,12 @@ def grid_search_cv(
 ):
     """Picking d1 = d2 = d, h, activation by mean k-fold CV accuracy.
 
-    An axis of ``grid`` (or ``grid`` itself) that is missing or None takes a
-    default: d takes ``D_GRID``; h and activation take ``H_GRID`` and
-    ``ACTIVATION_GRID`` in the hidden and enhanced spaces, and the
-    template's own values in the original space, which has no hidden layer.
-    An axis given is searched as given, in every space.
+    An axis of ``grid`` (or ``grid`` itself) that is missing or None takes
+    its ``DEFAULT_GRID`` value; a key other than d, h and activation is a
+    ``ValueError``, as is an axis that is empty or repeats a value. In the
+    original space, which has no hidden layer, the h and activation axes are
+    checked and then replaced by the template's values: each d is fit once,
+    in the given order.
 
     Every combination gets an independent derived seed, so results do not
     depend on evaluation order. Granulation is deterministic and takes no
@@ -234,10 +234,14 @@ def grid_search_cv(
         raise ValueError("folds must be >= 2")
     if train.n < folds:
         raise DataError(f"{folds} folds need at least {folds} training rows, got {train.n}")
-    # the original space has no hidden layer, so its h and activation are the template's
-    defaults = DEFAULT_GRID if template.feature_space != "original" else dict(
-        DEFAULT_GRID, h=[template.h], activation=[template.activation])
-    grid = {**defaults, **{axis: v for axis, v in (grid or {}).items() if v is not None}}
+    unknown = sorted(set(grid or {}) - set(DEFAULT_GRID))
+    if unknown:
+        raise ValueError(f"unknown grid axis {unknown}; the axes are d, h and activation")
+    grid = {**DEFAULT_GRID, **{axis: v for axis, v in (grid or {}).items() if v is not None}}
+    combos = grid_combinations(grid)
+    if template.feature_space == "original":
+        # no hidden layer reads h or activation, so each d is fit once, at the template's
+        combos = list(dict.fromkeys((d, template.h, template.activation) for d, _, _ in combos))
     cfgs = [
         replace(
             template,
@@ -248,7 +252,7 @@ def grid_search_cv(
             activation=act,
             seed=derive_seed(seed, idx),
         )
-        for idx, (d, h, act) in enumerate(grid_combinations(grid))
+        for idx, (d, h, act) in enumerate(combos)
     ]
     fold_sets = []
     skipped = 0

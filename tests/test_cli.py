@@ -495,6 +495,18 @@ class TestExperimentCommands:
         assert report["best_config"]["d1"] in (0.1, 1.0)
         assert csv_out.read_text().startswith("d,h,activation")
 
+    def test_gridsearch_without_a_hidden_layer_ignores_h_and_activation(self, tmp_path, blob_csv):
+        # gbtsvm has no hidden layer: its grid fits each d once, whatever h and activation it gets
+        reports = []
+        for name, axes in [("d.json", ()), ("dha.json", ("--grid-h", "3,23", "--grid-act", "1,3"))]:
+            assert run("gridsearch", "--data", blob_csv, "--seed", 3, "--variant", "gbtsvm",
+                       "--folds", 3, "--grid-d", "0.1,1", *axes, "--out", tmp_path / name) == 0
+            reports.append(read_report(tmp_path / name))
+        for report in reports:
+            del report["run_config"]
+        assert reports[0] == reports[1]
+        assert [r["d"] for r in reports[0]["cv_table"]] == [0.1, 1.0]
+
     def test_noise_sweep_counts(self, tmp_path, blob_csv):
         out = tmp_path / "noise.csv"
         assert run("noise-sweep", "--data", blob_csv, "--seed", 4,

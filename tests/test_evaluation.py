@@ -21,6 +21,7 @@ from gbtwin.dataset import Dataset, kfold_indices
 from gbtwin.evaluation import (
     ACTIVATION_GRID,
     D_GRID,
+    DEFAULT_GRID,
     H_GRID,
     NEMENYI_Q05,
     RankTable,
@@ -193,7 +194,7 @@ class TestGridSearch:
         assert len(H_GRID) == 11
         assert H_GRID[0] == 3 and H_GRID[-1] == 203
         assert len(ACTIVATION_GRID) == 9
-        assert len(grid_combinations()) == 1089
+        assert len(grid_combinations(DEFAULT_GRID)) == 1089
 
     def test_single_combination_returned(self):
         d = make_blobs(40, seed=1)
@@ -329,12 +330,40 @@ class TestGridSearch:
         else:
             assert pairs == list(itertools.product(H_GRID, ACTIVATION_GRID))
 
-    def test_given_axes_are_searched_in_the_original_space(self):
+    def test_given_axes_are_replaced_in_the_original_space(self):
         d = make_blobs(40, seed=1)
         template = ModelConfig(granulate=False, feature_space="original", seed=0)
         _, table = grid_search_cv(d, template, folds=3,
                                   grid={"d": [1.0], "h": [3, 23], "activation": None}, seed=5)
-        assert [(r["h"], r["activation"]) for r in table] == [(3, 3), (23, 3)]
+        assert [(r["h"], r["activation"]) for r in table] == [(template.h, template.activation)]
+
+    @pytest.mark.parametrize("granulate", [False, True])  # tsvm, gbtsvm
+    def test_original_space_fits_each_d_once(self, granulate):
+        d = make_blobs(60, seed=3, spread=1.5, distance=2.0)
+        template = ModelConfig(granulate=granulate, feature_space="original", seed=0, eta=0.95)
+        d_only = grid_search_cv(d, template, folds=3, grid={"d": [10.0, 0.01, 1.0]}, seed=4)
+        grid = {"d": [10.0, 0.01, 1.0], "h": [3, 23, 43], "activation": [1, 3]}
+        assert grid_search_cv(d, template, folds=3, grid=grid, seed=4) == d_only
+        assert [r["d"] for r in d_only[1]] == [10.0, 0.01, 1.0]
+
+    @pytest.mark.parametrize("axis", ["h", "activation"])
+    def test_empty_axis_is_rejected_in_the_original_space(self, axis):
+        # the axes are checked before the original space replaces them
+        template = ModelConfig(granulate=False, feature_space="original", seed=0)
+        with pytest.raises(ValueError, match="non-empty in every dimension"):
+            grid_search_cv(make_blobs(40, seed=4), template, folds=3, grid={"d": [1.0], axis: []})
+
+    @pytest.mark.parametrize("space", ["original", "hidden"])
+    @pytest.mark.parametrize("grid", [
+        {"d": [1.0], "h": [5], "act": [3]},
+        {"d": [1.0], "act": None},
+        {"d": [1.0], "delta": [1e-3], "activation": [3]},
+    ])
+    def test_unknown_grid_axis_is_rejected(self, space, grid):
+        template = ModelConfig(granulate=False, feature_space=space, seed=0, h=5)
+        unknown = [axis for axis in grid if axis not in DEFAULT_GRID]
+        with pytest.raises(ValueError, match=rf"unknown grid axis \['{unknown[0]}'\]"):
+            grid_search_cv(make_blobs(40, seed=1), template, folds=3, grid=grid)
 
 
 @pytest.mark.parametrize("call, message", [
