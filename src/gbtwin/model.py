@@ -192,16 +192,21 @@ def fit_basis(cfg: ModelConfig, train: Dataset) -> FitBasis:
 def fit_planes(basis: FitBasis, d1: float, d2: float, qp_tol: float, qp_max_iter: int):
     """The two planes and ``FitDiagnostics`` of ``basis`` with box bounds d1 and d2.
 
-    Solves one box-constrained dual per side, over ``BoxQP(LowRank(V), d)``,
-    each Q built and dropped in turn, so no more than one p x p matrix is
-    held. A side's plane is ``G^-1 far' alpha``, lifted back through the row
+    Solves one box-constrained dual per side, over ``BoxQP(LowRank(V), d)``.
+    One ``qp.dual_buffer``, sized for the larger dual, serves both: each Q is
+    built in it in turn, so the BoxQP of side 1 is valid only until side 2's
+    build, and the memory is touched once per fit, not once per dual. A
+    large Q's fresh gradients run on the panel threads of its build. A
+    side's plane is ``G^-1 far' alpha``, lifted back through the row
     span when there is one; plane 1's is negated. Returns ``(u1, u2,
     diagnostics)``. One basis serves every ``(d1, d2)``: each result has the
     bits of ``fit`` with those penalties.
     """
     planes, sols = [], []
+    out = qp.dual_buffer(max(V.shape[0] for _, _, V in basis.sides))
     for (gram, far, V), upper in zip(basis.sides, (d1, d2)):
-        sol = qp.solve_box_qp(qp.BoxQP(qp.LowRank(V), upper), tol=qp_tol, max_iter=qp_max_iter)
+        q = qp.BoxQP(qp.LowRank(V, out), upper)
+        sol = qp.solve_box_qp(q, tol=qp_tol, max_iter=qp_max_iter)
         planes.append(qp.solve_spd(gram, far.T @ sol.alpha))
         sols.append(sol)
     if basis.span is not None:

@@ -36,11 +36,21 @@ dual holds one p x p matrix, not two.
 The row panels of ``V V'`` write disjoint parts of Q, so they are also the
 unit of parallel work: a Q of ``_THREADED_Q_BYTES`` (32 MiB, p >= 2048) or
 more is built on a thread pool of ``usable_cpus()`` threads, with the same
-bits as the serial loop that builds every smaller Q. A Q larger than the
-machine's physical memory is refused before it is allocated. This module
+bits as the serial loop that builds every smaller Q. The fresh gradients
+``1 - Q alpha`` of such a Q (``_matvec``) run on the same threads, each on
+a block of whole panels. ``dual_buffer`` is the one place a p x p dual
+matrix is allocated, and a Q larger than the machine's physical memory is
+refused there before anything is allocated. ``fit_planes`` builds both
+twin duals of a fit in one such buffer, sized for the larger, so a
+``BoxQP`` built in it is valid only until the next build in it. This module
 owns every decision on how many CPUs and BLAS threads a process may fill:
 ``usable_cpus`` and ``one_blas_thread``, which the grid search's workers
 and the CLI call. Importing the package leaves BLAS as it is.
+
+Every claim here that two computations give the same bits holds on one
+BLAS thread, as the CLI and the benchmark pin it. OpenBLAS splits a
+product's rows among its own threads, so with several of them ``Q @ x``
+itself rounds differently from the one-thread product.
 """
 
 from __future__ import annotations
@@ -192,9 +202,17 @@ def lift(span: RowSpan, coords):
 
 @dataclass(frozen=True)
 class LowRank:
-    """A dual matrix given by its factor: ``Q = V V'`` with V p x c."""
+    """A dual matrix given by its factor: ``Q = V V'`` with V p x c.
+
+    ``out``, from ``dual_buffer(n)`` with n >= p, is the memory ``BoxQP``
+    builds Q in, its first p*p elements; without it ``BoxQP`` allocates Q.
+    ``fit_planes`` hands one buffer to both twin duals, so a ``BoxQP`` built
+    in it is valid only until the next build in it. The fresh gradients of
+    a large Q run on the panel threads wherever its memory comes from.
+    """
 
     V: np.ndarray
+    out: np.ndarray | None = None
 
 
 def physical_memory_bytes():
@@ -203,6 +221,22 @@ def physical_memory_bytes():
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def dual_buffer(p: int) -> np.ndarray:
+    """Uninitialized memory for one p x p dual matrix, ``p * p`` float64s.
+
+    The one place such a matrix is allocated. ``8 p^2`` bytes above the
+    physical memory raise a ``NumericalError`` naming both, before anything
+    is allocated.
+    """
+    limit = physical_memory_bytes()
+    if limit is not None and 8 * p * p > limit:
+        raise NumericalError(
+            f"the {p} x {p} dual matrix needs {8 * p * p} bytes, "
+            f"more than the {limit} bytes of physical memory"
+        )
+    return np.empty(p * p)
 
 
 def usable_cpus() -> int:
@@ -265,7 +299,27 @@ def one_blas_thread(controls) -> None:
             shutdown()
 
 
-def _outer_in_panels(V):
+def _panel_threads(Q) -> int:
+    """Threads for work on the row panels of a p x p Q: one per usable CPU,
+    at most one per panel, once Q has ``_THREADED_Q_BYTES``; else 1."""
+    if Q.nbytes < _THREADED_Q_BYTES:
+        return 1
+    return min(usable_cpus(), -(-Q.shape[0] // _TILE))
+
+
+def _on_threads(work, starts, threads) -> None:
+    """``work(s)`` for each of ``starts``: in order, or on a pool of
+    ``threads`` threads that takes them in order and is shut down before
+    this returns."""
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(work, starts))  # re-raises a worker's exception
+    else:
+        for s in starts:
+            work(s)
+
+
+def _outer_in_panels(V, out=None):
     """``V V'`` for a p x c V, built in row panels of ``_TILE`` rows.
 
     Each panel is one product into the upper triangle, its diagonal block
@@ -278,8 +332,14 @@ def _outer_in_panels(V):
     returns. The bits do not depend on the thread count. A V that is
     non-finite, or whose largest squared row norm passes ``_ROW_NORM_SQ_MAX``,
     is rejected before Q is allocated: that bound also bounds every |Q_ij|,
-    so no product overflows. So is a Q whose ``8 p^2`` bytes exceed the
-    physical memory, with a ``NumericalError`` naming both.
+    so no product overflows.
+
+    Q is built in the first p*p elements of ``out``, a ``dual_buffer(n)``
+    with n >= p, which ``fit_planes`` hands both duals of a fit, so the
+    second overwrites the first. Without ``out``, as for every other caller,
+    ``dual_buffer(p)`` allocates Q or refuses it with its ``NumericalError``.
+    The same threads later compute the fresh gradients of a large Q
+    (``_matvec``).
     """
     V = np.ascontiguousarray(V, dtype=np.float64)
     if V.ndim != 2:
@@ -289,13 +349,9 @@ def _outer_in_panels(V):
     if not float(row_norm_sq.max(initial=0.0)) <= _ROW_NORM_SQ_MAX:
         raise NumericalError("Q contains non-finite entries")
     p = V.shape[0]
-    limit = physical_memory_bytes()
-    if limit is not None and 8 * p * p > limit:
-        raise NumericalError(
-            f"the {p} x {p} dual matrix needs {8 * p * p} bytes, "
-            f"more than the {limit} bytes of physical memory"
-        )
-    Q = np.empty((p, p))
+    if out is None:
+        out = dual_buffer(p)
+    Q = out[: p * p].reshape(p, p)
 
     def panel(s):
         # numpy calls only, each of which releases the GIL
@@ -305,17 +361,32 @@ def _outer_in_panels(V):
         np.copyto(block, block.T, where=np.tri(e - s, k=-1, dtype=bool))
         Q[e:, s:e] = Q[s:e, e:].T
 
-    starts = range(0, p, _TILE)
-    workers = 1
-    if Q.nbytes >= _THREADED_Q_BYTES:
-        workers = min(usable_cpus(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(panel, starts))  # re-raises a worker's exception
-    else:
-        for s in starts:
-            panel(s)
+    _on_threads(panel, range(0, p, _TILE), _panel_threads(Q))
     return Q
+
+
+def _matvec(Q, x):
+    """``Q @ x`` for a C-ordered p x p Q, on the panel threads of ``V V'``.
+
+    A Q of ``_THREADED_Q_BYTES`` or more is split into one contiguous block
+    of rows per thread, each starting at a multiple of ``_TILE``, and each
+    block's product is written into its part of the result. On one BLAS
+    thread every row is the dot product ``Q @ x`` gives it, so the bits do
+    not depend on the thread count. A smaller Q, or one CPU, starts no
+    thread.
+    """
+    threads = _panel_threads(Q)
+    if threads == 1:
+        return Q @ x
+    p = Q.shape[0]
+    rows = _TILE * -(-p // (_TILE * threads))
+    y = np.empty(p)
+
+    def block(s):
+        np.matmul(Q[s : s + rows], x, out=y[s : s + rows])
+
+    _on_threads(block, range(0, p, rows), threads)
+    return y
 
 
 def _symmetrize_in_place(Q):
@@ -360,11 +431,14 @@ class BoxQP:
 
     From ``LowRank(V)`` the stored Q is ``V V'`` built in row panels: exactly
     symmetric, PSD, within rounding of ``V @ V.T``, and never read back to be
-    checked. A V that is non-finite, or whose largest squared row norm
-    exceeds ``finfo.max / 4``, raises ``NumericalError("Q contains non-finite
-    entries")`` with no warning. ``full_rank`` is set when V is p x c with
-    p <= c, so Q is generically nonsingular; ``solve_box_qp`` then takes
-    Newton steps. It is never set for an explicit Q.
+    checked. It is built in ``LowRank.out`` when that is given, the buffer
+    ``fit_planes`` hands both twin duals, so such a BoxQP is valid only until
+    the next build in that buffer. The fresh gradients ``solve_box_qp`` and
+    ``kkt_residual`` take of a large Q run on the panel threads. A V that is
+    non-finite, or whose largest squared row norm exceeds ``finfo.max / 4``,
+    raises ``NumericalError("Q contains non-finite entries")`` with no
+    warning. ``full_rank`` is set when V is p x c with p <= c, so Q is
+    generically nonsingular; ``solve_box_qp`` then takes Newton steps. It is never set for an explicit Q.
 
     BoxQP takes over an explicit Q: a writable C-ordered float64 array is
     checked and symmetrized in place and then marked read-only, so the caller
@@ -385,7 +459,7 @@ class BoxQP:
         if not 0 < self.upper < np.inf:
             raise ValueError(f"box bound must be positive and finite, got {self.upper}")
         if isinstance(self.Q, LowRank):
-            Q = _outer_in_panels(self.Q.V)
+            Q = _outer_in_panels(self.Q.V, self.Q.out)
             object.__setattr__(self, "full_rank", Q.shape[0] <= self.Q.V.shape[1])
         else:
             Q = np.require(self.Q, np.float64, ["C", "W"])
@@ -419,7 +493,7 @@ def kkt_residual(q: BoxQP, alpha) -> float:
     bound, and >= 0 at the upper bound.
     """
     a = np.clip(np.asarray(alpha, dtype=np.float64), 0.0, q.upper)
-    return _free_and_residual(1.0 - q.Q @ a, a, q.upper)[1]
+    return _free_and_residual(1.0 - _matvec(q.Q, a), a, q.upper)[1]
 
 
 def _free_and_residual(grad, alpha, upper):
@@ -503,7 +577,7 @@ def solve_box_qp(
     while iterations < max_iter:
         iterations += 1
         if q.full_rank and iterations > 1:
-            alpha, grad = _newton_step(Q, upper, alpha, 1.0 - Q @ alpha, free)
+            alpha, grad = _newton_step(Q, upper, alpha, 1.0 - _matvec(Q, alpha), free)
             free, residual = _free_and_residual(grad, alpha, upper)
             if residual <= tol:
                 break
@@ -527,7 +601,7 @@ def solve_box_qp(
         free, residual = _free_and_residual(grad, alpha, upper)
         if residual <= tol:
             # incremental gradient drifts; confirm against a fresh one
-            grad = 1.0 - Q @ alpha
+            grad = 1.0 - _matvec(Q, alpha)
             free, residual = _free_and_residual(grad, alpha, upper)
             if residual <= tol:
                 break

@@ -280,6 +280,15 @@ def serial_panel_outer_reference(V):
     return Q
 
 
+def one_thread_kkt_residual_reference(q, alpha):
+    """``qp.kkt_residual`` as it was before its gradient ran on threads,
+    verbatim: one ``q.Q @ a`` over every row."""
+    a = np.clip(np.asarray(alpha, dtype=np.float64), 0.0, q.upper)
+    grad = 1.0 - q.Q @ a
+    free = ~(((a <= 0.0) & (grad <= 0.0)) | ((a >= q.upper) & (grad >= 0.0)))
+    return float(np.abs(grad[free]).max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class WrapperRidgeGram:
     factor: tuple  # scipy cho_factor output for A'A + delta*I, A r x c

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import threading
@@ -35,6 +36,7 @@ from _oracles import (
     enumerate_box_qp,
     explicit_q_planes_reference,
     grid_box_qp,
+    one_thread_kkt_residual_reference,
     serial_panel_outer_reference,
     two_mask_sweeps_reference,
     two_scratch_tile_symmetrize_reference,
@@ -42,7 +44,7 @@ from _oracles import (
     wrapper_solve_spd,
     wrapper_whiten,
 )
-from _system import set_cpus
+from _system import openblas_threads_kept, set_cpus
 
 # frozen result of dense_grid_box_qp(Q=[[2,1],[1,2]], upper=10, step=1e-3),
 # computed once offline (the 1e8-point sweep takes a few seconds)
@@ -53,6 +55,39 @@ DENSE_GRID_2D_VALUE = 0.333333
 def random_psd(rng, p, extra_rows=1):
     A = rng.normal(size=(p + extra_rows, p))
     return A.T @ A
+
+
+@functools.cache
+def unequal_twin_classes():
+    """2300 rows labelled +1 and 2100 labelled -1, in two separated clusters:
+    a raw fit's dual 1 runs over 2100 rows and dual 2 over 2300, both at or
+    above the threading bound."""
+    rng = np.random.default_rng(8)
+    X = np.vstack([rng.normal(loc=1.5, size=(2300, 5)), rng.normal(loc=-1.5, size=(2100, 5))])
+    return Dataset(X, np.repeat([1.0, -1.0], [2300, 2100]))
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """Every thread started until the test ends."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    return started
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The size of every thread pool qp starts until the test ends."""
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(qp, "ThreadPoolExecutor", Pool)
+    return pools
 
 
 class TestRidgeFactorize:
@@ -674,6 +709,22 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak <= 0.1 * 8 * p * p
 
+    def test_fit_refuses_its_buffer_before_either_dual(self, monkeypatch):
+        # dual 1's 2100 rows would fit; the one buffer is sized for dual 2's
+        # 2300 rows, so it is refused before dual 1 is built
+        p = 2300
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 8 * p * p - 1)
+        cfg = ModelConfig(granulate=False, feature_space="original", seed=0)
+        data = unequal_twin_classes()
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match=f"{p} x {p} dual matrix needs {8 * p * p} bytes"):
+                fit(cfg, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * p * p
+
     def test_q_that_fits_is_built(self, monkeypatch):
         p = 300
         monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 8 * p * p)
@@ -905,6 +956,137 @@ class TestThreadedPanels:
         Q = BoxQP(LowRank(V), 1.0).Q
         assert pools == [workers]
         assert Q.tobytes() == serial_panel_outer_reference(V).tobytes()
+
+
+class TestPanelMatvec:
+    """``qp._matvec`` gives ``Q @ x`` of a large Q on the panel threads.
+
+    Each test runs on one BLAS thread, where the bits are pinned: with
+    several, OpenBLAS splits the rows of ``Q @ x`` itself among them.
+    """
+
+    SIZES = TestThreadedPanels.SIZES
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self):
+        with openblas_threads_kept():
+            qp.one_blas_thread(qp.openblas_thread_controls())
+            yield
+
+    @staticmethod
+    def vector(p, kind, seed=0):
+        rng = np.random.default_rng(seed)
+        if kind == "dense":
+            return rng.normal(size=p)
+        # most coordinates of a dual's alpha sit at a bound
+        return np.where(rng.random(p) < 0.8, 0.0, rng.choice([0.3, 1.0], size=p))
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("p", SIZES)
+    @pytest.mark.parametrize("cpus", [None, 3])
+    def test_same_bits_as_q_at_x(self, monkeypatch, cpus, p, kind):
+        if cpus is not None:
+            set_cpus(monkeypatch, cpus)
+        Q = np.random.default_rng(p).normal(size=(p, p))
+        x = self.vector(p, kind)
+        assert qp._matvec(Q, x).tobytes() == (Q @ x).tobytes()
+
+    # one CPU above the bound; three CPUs just below it
+    @pytest.mark.parametrize("cpus,p", [(1, 2100), (3, 2047)])
+    def test_starts_no_thread_below_the_bound_or_on_one_cpu(
+        self, monkeypatch, threads_started, cpus, p
+    ):
+        set_cpus(monkeypatch, cpus)
+        Q = np.random.default_rng(1).normal(size=(p, p))
+        x = self.vector(p, "dense")
+        assert qp._matvec(Q, x).tobytes() == (Q @ x).tobytes()
+        assert threads_started == []
+
+    def test_no_thread_outlives_the_call(self, monkeypatch, threads_started):
+        set_cpus(monkeypatch, 2)
+        Q = np.random.default_rng(2).normal(size=(2100, 2100))
+        before = threading.active_count()
+        qp._matvec(Q, self.vector(2100, "sparse"))
+        assert len(threads_started) == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (64, 17)])
+    def test_one_thread_per_cpu_and_at_most_one_per_panel(
+        self, monkeypatch, thread_pools, cpus, workers
+    ):
+        # a 2100-row Q has 17 panels
+        set_cpus(monkeypatch, cpus)
+        Q = np.random.default_rng(3).normal(size=(2100, 2100))
+        x = self.vector(2100, "dense")
+        assert qp._matvec(Q, x).tobytes() == (Q @ x).tobytes()
+        assert thread_pools == [workers]
+
+    @pytest.mark.parametrize("cpus", [None, 3])
+    def test_kkt_residual_keeps_its_values(self, monkeypatch, cpus):
+        if cpus is not None:
+            set_cpus(monkeypatch, cpus)
+        p = 2100
+        q = BoxQP(LowRank(np.random.default_rng(4).normal(loc=0.5, size=(p, 34))), 1.0)
+        rng = np.random.default_rng(5)
+        # at the lower bound, inside the box, outside it (clamped), and sparse
+        for alpha in (np.zeros(p), rng.uniform(0, 1, p), rng.uniform(-1, 2, p),
+                      self.vector(p, "sparse")):
+            assert kkt_residual(q, alpha) == one_thread_kkt_residual_reference(q, alpha)
+
+    def test_solve_takes_its_fresh_gradient_on_the_panel_threads(self, monkeypatch, thread_pools):
+        set_cpus(monkeypatch, 3)
+        q = BoxQP(LowRank(np.random.default_rng(6).normal(loc=0.5, size=(2100, 5))), 0.01)
+        thread_pools.clear()
+        sol = solve_box_qp(q, tol=1e-6)
+        assert thread_pools and set(thread_pools) == {3}
+        set_cpus(monkeypatch, 1)
+        serial = solve_box_qp(q, tol=1e-6)
+        assert sol.alpha.tobytes() == serial.alpha.tobytes()
+        assert (sol.iterations, sol.kkt_residual) == (serial.iterations, serial.kkt_residual)
+
+
+class TestOneBufferPerFit:
+    """``fit_planes`` builds both twin duals in one ``qp.dual_buffer``, sized
+    for the larger: 2100 and 2300 rows here."""
+
+    @pytest.fixture(scope="class")
+    def basis(self):
+        cfg = ModelConfig(granulate=False, feature_space="original", seed=0)
+        basis = md.fit_basis(cfg, unequal_twin_classes())
+        assert [V.shape[0] for _, _, V in basis.sides] == [2100, 2300]
+        return basis
+
+    def test_both_duals_are_built_in_one_buffer(self, monkeypatch, basis):
+        buffers, duals = [], []
+        dual_buffer, box_qp = qp.dual_buffer, qp.BoxQP
+        monkeypatch.setattr(qp, "dual_buffer",
+                            lambda p: buffers.append(dual_buffer(p)) or buffers[-1])
+        monkeypatch.setattr(qp, "BoxQP", lambda *args: duals.append(box_qp(*args)) or duals[-1])
+        md.fit_planes(basis, 1.0, 1.0, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+        assert [b.size for b in buffers] == [2300**2]
+        assert [q.p for q in duals] == [2100, 2300]
+        assert all(np.shares_memory(q.Q, buffers[0]) for q in duals)
+
+    def test_peak_memory_stays_near_the_larger_dual(self, basis):
+        tracemalloc.start()
+        try:
+            md.fit_planes(basis, 1.0, 1.0, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * 2300**2
+
+    def test_each_dual_has_the_bits_of_a_fresh_build(self, basis):
+        d1, d2 = 0.5, 2.0
+        u1, u2, diag = md.fit_planes(basis, d1, d2, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+        planes, sols = [], []
+        for (gram, far, V), upper in zip(basis.sides, (d1, d2)):
+            sol = solve_box_qp(BoxQP(LowRank(V), upper))
+            planes.append(solve_spd(gram, far.T @ sol.alpha))
+            sols.append(sol)
+        assert u1.tobytes() == (-planes[0]).tobytes() and u2.tobytes() == planes[1].tobytes()
+        assert diag.dual_iterations == tuple(sol.iterations for sol in sols)
+        assert diag.dual_residuals == tuple(sol.kkt_residual for sol in sols)
 
 
 class TestOwnership:
