@@ -176,8 +176,9 @@ def _grid_workers(fold_sets, jobs: int) -> int:
     One per CPU ``qp.usable_cpus`` gives this process, at most one per fit,
     and no more than the physical memory holds of the largest dual matrix a
     fit builds (8 p^2 bytes, p the larger class of a fold's training part),
-    since each worker holds its own and builds it on one thread. No worker
-    runs where fork is unavailable.
+    since each worker holds its own and builds it on one thread; the caller
+    drops its kept dual buffer before forking, so none is left uncounted.
+    No worker runs where fork is unavailable.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
@@ -274,6 +275,8 @@ def grid_search_cv(
     if blas is None:
         scores = [_score(job, cfgs, fold_sets) for job in jobs]
     else:
+        # so _grid_workers' memory rule counts every p x p matrix in memory
+        qp.release_dual_buffer()
         # with fork, the executor starts every worker before its own thread
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_start_grid_worker,

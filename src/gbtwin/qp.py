@@ -42,7 +42,11 @@ a block of whole panels. ``dual_buffer`` is the one place a p x p dual
 matrix is allocated, and a Q larger than the machine's physical memory is
 refused there before anything is allocated. ``fit_planes`` builds both
 twin duals of a fit in one such buffer, sized for the larger, so a
-``BoxQP`` built in it is valid only until the next build in it. This module
+``BoxQP`` built in it is valid only until the next build in it. The buffer
+is leased (``leased_dual_buffer``) from the one this process keeps between
+fits, so repeated raw fits touch its pages once, not once per fit (the
+object caching of Bonwick's slab allocator, USENIX 1994). A process keeps
+at most one; a forked child starts without it. This module
 owns every decision on how many CPUs and BLAS threads a process may fill:
 ``usable_cpus`` and ``one_blas_thread``, which the grid search's workers
 and the CLI call. Importing the package leaves BLAS as it is.
@@ -58,7 +62,9 @@ from __future__ import annotations
 import ctypes
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,20 +229,84 @@ def physical_memory_bytes():
         return None
 
 
-def dual_buffer(p: int) -> np.ndarray:
-    """Uninitialized memory for one p x p dual matrix, ``p * p`` float64s.
-
-    The one place such a matrix is allocated. ``8 p^2`` bytes above the
-    physical memory raise a ``NumericalError`` naming both, before anything
-    is allocated.
-    """
+def _refuse_beyond_memory(p: int) -> None:
+    """Raise a ``NumericalError`` naming both sizes when a p x p dual
+    matrix, ``8 p^2`` bytes, exceeds the physical memory."""
     limit = physical_memory_bytes()
     if limit is not None and 8 * p * p > limit:
         raise NumericalError(
             f"the {p} x {p} dual matrix needs {8 * p * p} bytes, "
             f"more than the {limit} bytes of physical memory"
         )
+
+
+def dual_buffer(p: int) -> np.ndarray:
+    """Uninitialized memory for one p x p dual matrix, ``p * p`` float64s.
+
+    The one place such a matrix is allocated. ``8 p^2`` bytes above the
+    physical memory raise a ``NumericalError`` naming both, before anything
+    is allocated. ``BoxQP(LowRank(V))`` without ``out`` allocates here and
+    its caller owns the result; ``fit_planes`` leases its buffer through
+    ``leased_dual_buffer``, which allocates here only when the buffer the
+    process keeps is missing or too small.
+    """
+    _refuse_beyond_memory(p)
     return np.empty(p * p)
+
+
+# the one dual buffer this process keeps between fits, or None, and the lock
+# held while it is taken from or put back in this slot
+_kept = None
+_kept_lock = threading.Lock()
+
+
+@contextmanager
+def leased_dual_buffer(p: int):
+    """A ``dual_buffer`` of at least p * p float64s, kept for the next lease.
+
+    The buffer this process keeps is taken when it holds p * p; a smaller
+    one is dropped before ``dual_buffer(p)`` allocates, so the process never
+    holds two. The physical-memory refusal runs on every lease, reused or
+    not. While one lease is out the slot is empty, so a lease on another
+    thread allocates its own, and only the first of the two returned is
+    kept. The buffer goes back when the ``with`` block ends, by return or
+    by raise.
+    Every Q built in it is fully rewritten, so reuse changes no bits.
+    """
+    global _kept
+    with _kept_lock:
+        buf, _kept = _kept, None
+    try:
+        if buf is None or buf.size < p * p:
+            buf = None  # dropped first: a process never holds two
+            buf = dual_buffer(p)
+        else:
+            _refuse_beyond_memory(p)
+        yield buf
+    finally:
+        if buf is not None:
+            with _kept_lock:
+                if _kept is None:
+                    _kept = buf
+
+
+def release_dual_buffer() -> None:
+    """Drop the dual buffer this process keeps, as before forking workers
+    that should not count it against the physical memory."""
+    global _kept
+    with _kept_lock:
+        _kept = None
+
+
+def _empty_slot_in_child() -> None:
+    # a forked child must not write into the pages it shares with its
+    # parent, and the lock may have been held by a thread fork left behind
+    global _kept, _kept_lock
+    _kept, _kept_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_empty_slot_in_child)
 
 
 def usable_cpus() -> int:

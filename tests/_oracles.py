@@ -597,6 +597,18 @@ def activate_reference(kind, x):
     return out
 
 
+def masked_selu_reference(x):
+    """The earlier in-place selu, kept verbatim: neg copied over z under the
+    mask ``~(z > 0)``, then scaled."""
+    z = np.array(x, dtype=np.float64, ndmin=1)
+    neg = np.minimum(z, 0.0)
+    np.expm1(neg, out=neg)
+    neg *= SELU_ALPHA
+    np.copyto(z, neg, where=~(z > 0.0))
+    z *= SELU_LAMBDA
+    return z
+
+
 def plane_distances_reference(mdl, X):
     """The earlier plane scoring: a ones column and one matvec per plane.
 

@@ -19,7 +19,7 @@ from gbtwin.features import (
     layer_meta,
 )
 
-from _oracles import activate_reference
+from _oracles import activate_reference, masked_selu_reference
 
 
 class TestActivate:
@@ -91,6 +91,15 @@ class TestActivateMatchesReference:
         for values in (x, grid, *EDGES):
             got, want = activate(kind, values), activate_reference(kind, values)
             assert np.array_equal(bits(got), bits(want)), values
+
+    def test_selu_has_the_bits_of_the_masked_copy(self):
+        # max(z, 0) + neg replaced copying neg under the mask ~(z > 0)
+        rng = np.random.default_rng(7)
+        edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]
+        block = rng.normal(scale=2.0, size=(256, 103))
+        block.flat[: len(edges)] = edges
+        for values in (block, np.array(edges), rng.normal(size=1001)):
+            assert np.array_equal(bits(activate(1, values)), bits(masked_selu_reference(values)))
 
     def test_sigmoid_within_8_ulp_of_expit(self):
         x = sample_values()

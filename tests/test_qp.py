@@ -77,6 +77,13 @@ def threads_started(monkeypatch):
 
 
 @pytest.fixture
+def empty_dual_slot():
+    """No dual buffer kept from an earlier fit, so ``fit_planes`` allocates
+    through ``qp.dual_buffer``."""
+    qp.release_dual_buffer()
+
+
+@pytest.fixture
 def thread_pools(monkeypatch):
     """The size of every thread pool qp starts until the test ends."""
     pools = []
@@ -693,6 +700,7 @@ class TestNewtonSteps:
         assert 4 * sol.iterations <= ref_sweeps
 
 
+@pytest.mark.usefixtures("empty_dual_slot")
 class TestMemoryGuard:
     """A ``LowRank`` dual whose p x p matrix exceeds physical memory is refused."""
 
@@ -1045,6 +1053,7 @@ class TestPanelMatvec:
         assert (sol.iterations, sol.kkt_residual) == (serial.iterations, serial.kkt_residual)
 
 
+@pytest.mark.usefixtures("empty_dual_slot")
 class TestOneBufferPerFit:
     """``fit_planes`` builds both twin duals in one ``qp.dual_buffer``, sized
     for the larger: 2100 and 2300 rows here."""
@@ -1087,6 +1096,127 @@ class TestOneBufferPerFit:
         assert u1.tobytes() == (-planes[0]).tobytes() and u2.tobytes() == planes[1].tobytes()
         assert diag.dual_iterations == tuple(sol.iterations for sol in sols)
         assert diag.dual_residuals == tuple(sol.kkt_residual for sol in sols)
+
+
+def _kept_buffer_size():
+    return None if qp._kept is None else qp._kept.size
+
+
+class TestKeptDualBuffer:
+    """``fit_planes`` leases the one dual buffer the process keeps between
+    fits: 2100 and 2300 rows for the large basis, 1000 and 1200 for the small.
+    """
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        cfg = ModelConfig(granulate=False, feature_space="original", seed=0)
+        return md.fit_basis(cfg, unequal_twin_classes())
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        cfg = ModelConfig(granulate=False, feature_space="original", seed=0)
+        data = unequal_twin_classes()
+        rows = np.r_[0:1200, 2300:3300]
+        return md.fit_basis(cfg, Dataset(data.features[rows], data.labels[rows]))
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, empty_dual_slot):
+        # the bits a concurrent fit is compared against are pinned on one thread
+        with openblas_threads_kept():
+            qp.one_blas_thread(qp.openblas_thread_controls())
+            yield
+
+    @staticmethod
+    def fit_planes(basis):
+        return md.fit_planes(basis, 0.5, 2.0, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+
+    @pytest.fixture
+    def allocations(self, monkeypatch):
+        """The buffer every ``qp.dual_buffer`` call returns, and every BoxQP
+        built, until the test ends."""
+        buffers, duals = [], []
+        dual_buffer, box_qp = qp.dual_buffer, qp.BoxQP
+        monkeypatch.setattr(qp, "dual_buffer",
+                            lambda p: buffers.append(dual_buffer(p)) or buffers[-1])
+        monkeypatch.setattr(qp, "BoxQP", lambda *args: duals.append(box_qp(*args)) or duals[-1])
+        return buffers, duals
+
+    def test_same_size_fit_reuses_the_buffer(self, allocations, large):
+        buffers, duals = allocations
+        fresh = self.fit_planes(large)
+        assert [b.size for b in buffers] == [2300**2] and qp._kept is buffers[0]
+        # every Q is fully rewritten, whatever the buffer held before
+        qp._kept.fill(np.nan)
+        again = self.fit_planes(large)
+        assert len(buffers) == 1 and qp._kept is buffers[0]
+        assert all(np.shares_memory(q.Q, buffers[0]) for q in duals[2:])
+        assert [u.tobytes() for u in again[:2]] == [u.tobytes() for u in fresh[:2]]
+        assert again[2] == fresh[2]
+
+    def test_smaller_fit_reuses_a_larger_buffer(self, allocations, large, small):
+        buffers, duals = allocations
+        self.fit_planes(large)
+        self.fit_planes(small)
+        assert [b.size for b in buffers] == [2300**2] and qp._kept is buffers[0]
+        assert [q.p for q in duals[2:]] == [1000, 1200]
+        assert all(np.shares_memory(q.Q, buffers[0]) for q in duals[2:])
+
+    def test_larger_fit_drops_the_kept_buffer_before_it_allocates(self, large, small):
+        tracemalloc.start()
+        try:
+            self.fit_planes(small)
+            assert _kept_buffer_size() == 1200**2
+            tracemalloc.reset_peak()
+            self.fit_planes(large)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _kept_buffer_size() == 2300**2
+        # keeping the small buffer through the large one's allocation would
+        # reach 1.27 x the large buffer
+        assert peak <= 1.1 * 8 * 2300**2
+
+    def test_memory_guard_refuses_even_when_a_large_enough_buffer_is_kept(
+        self, monkeypatch, large, small
+    ):
+        self.fit_planes(large)
+        kept = qp._kept
+        p = 1200
+        monkeypatch.setattr(qp, "physical_memory_bytes", lambda: 8 * p * p - 1)
+        with pytest.raises(NumericalError, match=f"{p} x {p} dual matrix needs {8 * p * p} bytes"):
+            self.fit_planes(small)
+        assert qp._kept is kept
+
+    def test_a_forked_child_starts_with_an_empty_slot(self, large):
+        self.fit_planes(large)
+        assert _kept_buffer_size() == 2300**2
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(_kept_buffer_size).result() is None
+        assert _kept_buffer_size() == 2300**2
+
+    def test_concurrent_fits_match_serial_fits(self, monkeypatch, large, small):
+        serial = [self.fit_planes(basis) for basis in (large, small)]
+        # both threads hold a lease before either builds a dual
+        barrier = threading.Barrier(2, timeout=60)
+        duals = []
+        box_qp = qp.BoxQP
+
+        def wait_then_build(*args):
+            barrier.wait()
+            duals.append(box_qp(*args))
+            return duals[-1]
+
+        monkeypatch.setattr(qp, "BoxQP", wait_then_build)
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(self.fit_planes, (large, small)))
+        for got, want in zip(results, serial):
+            assert [u.tobytes() for u in got[:2]] == [u.tobytes() for u in want[:2]]
+            assert got[2] == want[2]
+        large_q = [q.Q for q in duals if q.p >= 2100]
+        small_q = [q.Q for q in duals if q.p <= 1200]
+        assert not any(np.shares_memory(a, b) for a in large_q for b in small_q)
+        # the first buffer returned is kept, the other dropped
+        assert any(np.shares_memory(qp._kept, q) for q in large_q + small_q)
 
 
 class TestOwnership:
